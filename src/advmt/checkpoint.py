@@ -65,12 +65,15 @@ def load(path, expected_kind: str) -> tuple:
 
 
 def fill_params(path, params: List[Tensor], flat: np.ndarray):
-    """Copy a flat parameter vector into tensors in canonical order."""
+    """Copy a flat parameter vector into tensors in canonical order; every value must be finite."""
     expected = sum(p.size for p in params)
     if flat.size != expected:
         raise CheckpointError(
             f"{path}: checkpoint holds {flat.size} parameter values, model needs {expected}"
         )
+    bad = np.count_nonzero(~np.isfinite(flat))
+    if bad:
+        raise CheckpointError(f"{path}: checkpoint holds {bad} non-finite parameter values")
     cursor = 0
     for p in params:
         p.data = flat[cursor : cursor + p.size].reshape(p.shape).copy()

@@ -27,7 +27,6 @@ from .data import (
     load_corpus,
     load_csv,
     save_csv,
-    window,
     write_corpus,
 )
 from .errors import AdvmtError, DivergenceError
@@ -35,6 +34,7 @@ from .evaluation import (
     DEFAULT_HORIZONS_MS,
     HorizonSet,
     ablation_report,
+    collect_windows,
     evaluate,
     render_pose_strip,
 )
@@ -229,7 +229,6 @@ def cmd_train(args) -> int:
     disc_cfg = None
     if disc_raw is not None:
         disc_raw.setdefault("input_dim", flat)
-        disc_raw["hidden_dims"] = tuple(disc_raw.get("hidden_dims", (128, 64)))
         disc_cfg = disc_mod.DiscriminatorConfig(**disc_raw)
 
     with RunDirectory(args.out) as run:
@@ -308,22 +307,16 @@ def cmd_eval(args) -> int:
         if args.render and model is not None:
             t = model.config.history_len
             l = max(horizons.frames())
-            rendered = 0
-            for seq in corpus_set.test.sequences:
-                if rendered >= args.render:
-                    break
-                for sample in window(seq, t, l, args.stride):
-                    if rendered >= args.render:
-                        break
-                    pred = model_mod.rollout(model, sample.input, l)
-                    strip = os.path.join(args.out, f"strip_{rendered:03d}.svg")
-                    render_pose_strip(
-                        [_sequence_of(sample.target, fps, "truth"),
-                         _sequence_of(pred, fps, "prediction")],
-                        corpus_set.topology, strip, drop_axis=args.drop_axis,
-                    )
-                    rendered += 1
-            print(f"rendered {rendered} pose strips")
+            samples = collect_windows(corpus_set.test, t, l, args.stride)[: args.render]
+            for k, sample in enumerate(samples):
+                pred = model_mod.rollout(model, sample.input, l)
+                render_pose_strip(
+                    [_sequence_of(sample.target, fps, "truth"),
+                     _sequence_of(pred, fps, "prediction")],
+                    corpus_set.topology, os.path.join(args.out, f"strip_{k:03d}.svg"),
+                    drop_axis=args.drop_axis,
+                )
+            print(f"rendered {len(samples)} pose strips")
     return 0
 
 

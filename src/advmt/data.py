@@ -393,11 +393,19 @@ def load_corpus(manifest_path) -> CorpusSet:
         manifest = json.load(fh)
     topo = SkeletonTopology.from_json(os.path.join(base, manifest["topology"]))
     splits: dict = {"train": [], "test": []}
+    fps = None
     for entry in manifest["sequences"]:
         seq = load_csv(os.path.join(base, entry["path"]), topo)
         seq = MotionSequence(frames=seq.frames, fps=seq.fps, action_label=entry.get("action"))
         if entry["split"] not in splits:
             raise ConfigurationError(f"unknown split {entry['split']!r} in manifest")
+        if fps is None:
+            fps = seq.fps
+        elif seq.fps != fps:
+            raise ConfigurationError(
+                f"{manifest_path}: {entry['path']} is at {seq.fps} fps, "
+                f"the sequences before it at {fps} fps"
+            )
         splits[entry["split"]].append(seq)
     if not splits["train"]:
         raise ConfigurationError(f"{manifest_path}: manifest has no train sequences")

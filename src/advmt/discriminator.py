@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import checkpoint, tensor
-from .errors import ConfigurationError, ContractError, DimensionError
+from .errors import CheckpointError, ConfigurationError, ContractError, DimensionError
 from .model import Linear
 from .tensor import Tensor, as_tensor
 
@@ -23,7 +23,6 @@ from .tensor import Tensor, as_tensor
 class DiscriminatorConfig:
     input_dim: int  # 3N, one flattened frame difference
     hidden_dims: tuple = (128, 64)
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -31,8 +30,6 @@ class DiscriminatorConfig:
             raise ConfigurationError("input_dim must be positive")
         if not self.hidden_dims:
             raise ConfigurationError("hidden_dims must be non-empty")
-        if self.activation != "relu":
-            raise ConfigurationError(f"unsupported activation {self.activation!r}")
 
 
 class DiscriminatorModel:
@@ -76,15 +73,11 @@ def _flatten_deltas(deltas, input_dim: int) -> Tensor:
     t = as_tensor(deltas)
     if t.ndim < 2:
         raise DimensionError(f"deltas must be at least rank 2, got shape {t.shape}")
-    if t.shape[-1] == input_dim:
-        flat_shape = (-1, input_dim)
-    elif t.ndim >= 3 and t.shape[-1] * t.shape[-2] == input_dim:
-        flat_shape = (-1, input_dim)
-    else:
+    if t.shape[-1] != input_dim and not (t.ndim >= 3 and t.shape[-1] * t.shape[-2] == input_dim):
         raise DimensionError(
             f"delta shape {t.shape} does not flatten to rows of {input_dim} values"
         )
-    return t.reshape(flat_shape)
+    return t.reshape((-1, input_dim))
 
 
 def score(disc, deltas, frozen: bool = False) -> Tensor:
@@ -126,14 +119,15 @@ def generator_adversarial_loss(disc, fake_deltas) -> Tensor:
 
 
 def save_checkpoint(disc: DiscriminatorModel, path):
-    cfg = asdict(disc.config)
-    cfg["hidden_dims"] = list(disc.config.hidden_dims)
-    checkpoint.save(path, "discriminator", cfg, disc.parameters())
+    checkpoint.save(path, "discriminator", asdict(disc.config), disc.parameters())
 
 
 def load_checkpoint(path) -> DiscriminatorModel:
     _, config, flat = checkpoint.load(path, "discriminator")
-    config["hidden_dims"] = tuple(config["hidden_dims"])
+    # configs written before the activation option was removed carry its one legal value
+    activation = config.pop("activation", "relu")
+    if activation != "relu":
+        raise CheckpointError(f"{path}: unsupported discriminator activation {activation!r}")
     disc = DiscriminatorModel(DiscriminatorConfig(**config), rng=None)
     checkpoint.fill_params(path, disc.parameters(), flat)
     return disc

@@ -281,7 +281,7 @@ def _check_total_loss_pred(rng, instances):
         pred = r.standard_normal((2, 3, 3))
         truth = r.standard_normal((2, 3, 3))
         last = r.standard_normal((3, 3))
-        return [pred], lambda ts: total_loss(ts[0], truth, topo, disc, weights, last).total_node
+        return [pred], lambda ts: total_loss(ts[0], truth, topo, disc, weights, last)[0]
 
     return _check_inputs(rng, build, instances)
 
@@ -300,7 +300,7 @@ def _check_total_loss_end_to_end(rng, instances):
 
         def loss():
             pred = enc.forward_window(h).reshape((1, 2, 3))
-            return total_loss(pred, truth, topo, disc, weights, last).total_node
+            return total_loss(pred, truth, topo, disc, weights, last)[0]
 
         worst = max(worst, _check_param_subset(rng, enc.parameters(), loss, 15))
     return worst

@@ -7,8 +7,7 @@ numpy inputs) and as differentiable graph nodes on Tensor inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class LossBreakdown:
     bone: float
     adversarial: float
     total: float
-    total_node: Optional[Tensor] = field(default=None, repr=False, compare=False)
 
 
 def _check_pose_arrays(pred, truth):
@@ -104,12 +102,12 @@ def bone_loss(pred, truth, topo: SkeletonTopology):
     return out if graph else out.item()
 
 
-def _boundary_deltas(pred: Tensor, last_observed) -> Tensor:
-    """Differences of [last observed frame; predicted frames] along time."""
+def boundary_deltas(poses, last_observed) -> Tensor:
+    """Differences of [last observed frame; future poses] along time."""
     last = last_observed.joints if isinstance(last_observed, Pose) else last_observed
     last_t = as_tensor(last)
     first = last_t.reshape(last_t.shape[:-2] + (1,) + last_t.shape[-2:])
-    seq = tensor.concat([first, pred], axis=-3)  # (..., L+1, N, 3)
+    seq = tensor.concat([first, poses], axis=-3)  # (..., L+1, N, 3)
     return seq[..., 1:, :, :] - seq[..., :-1, :, :]
 
 
@@ -120,8 +118,10 @@ def total_loss(
     disc,
     weights: LossWeights,
     last_observed,
-) -> LossBreakdown:
+) -> tuple:
     """Position + lambda_B * bone + lambda_D * adversarial, as one graph node.
+
+    Returns (the loss node to backpropagate, its LossBreakdown of floats).
 
     Gradients flow into the prediction (and hence the encoder) only; the
     discriminator is used frozen. ``last_observed`` supplies the boundary
@@ -142,17 +142,16 @@ def total_loss(
             raise ContractError("lambda_adv > 0 requires a discriminator")
         if last_observed is None:
             raise ContractError("lambda_adv > 0 requires the last observed pose")
-        deltas = _boundary_deltas(pred, last_observed)
+        deltas = boundary_deltas(pred, last_observed)
         adv = generator_adversarial_loss(disc, deltas.reshape((-1, disc.config.input_dim)))
         total = total + weights.lambda_adv * adv
         adv_value = adv.item()
     else:
         adv_value = 0.0
 
-    return LossBreakdown(
+    return total, LossBreakdown(
         mpjpe=position.item(),
         bone=bone.item(),
         adversarial=adv_value,
         total=total.item(),
-        total_node=total,
     )

@@ -274,10 +274,7 @@ def _history_tensor(model: EncoderModel, history) -> Tensor:
 
 def predict_next(model: EncoderModel, history) -> Pose:
     """Predict the pose at frame T+1 from exactly T observed frames."""
-    n = model.config.input_dim // 3
-    with no_grad():
-        out = model.forward_window(_history_tensor(model, history))
-    return Pose(out.data.reshape(n, 3))
+    return Pose(rollout(model, history, 1)[0])
 
 
 def rollout_graph(model: EncoderModel, window: Tensor, l_frames: int) -> Tensor:

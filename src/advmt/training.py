@@ -19,13 +19,13 @@ import numpy as np
 
 from . import discriminator as disc_mod
 from . import model as model_mod
-from .data import CorpusSet, window
+from .data import CorpusSet
 from .discriminator import DiscriminatorConfig, DiscriminatorModel, discriminator_loss
 from .errors import ConfigurationError, ContractError, DivergenceError
-from .evaluation import DEFAULT_HORIZONS_MS, mpjpe_at_horizon
-from .losses import LossBreakdown, LossWeights, total_loss
+from .evaluation import DEFAULT_HORIZONS_MS, _batched_rollout, collect_windows, mpjpe_at_horizon
+from .losses import LossWeights, boundary_deltas, total_loss
 from .model import EncoderConfig, EncoderModel, rollout_graph
-from .tensor import Tensor, global_grad_norm, no_grad
+from .tensor import Tensor, global_grad_norm
 
 
 @dataclass
@@ -46,7 +46,6 @@ class TrainConfig:
     history_frames: int = 50
     predict_frames: int = 25
     window_stride: int = 5
-    rollout_mode: str = "full_autoregressive"
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
 
     def __post_init__(self):
@@ -65,14 +64,17 @@ class TrainConfig:
             raise ConfigurationError("grad_clip_norm must be positive (inf disables clipping)")
         if self.history_frames < 1 or self.predict_frames < 1 or self.window_stride < 1:
             raise ConfigurationError("history_frames, predict_frames, window_stride must be >= 1")
-        if self.rollout_mode != "full_autoregressive":
-            raise ConfigurationError(f"unsupported rollout_mode {self.rollout_mode!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
+        raw = dict(raw)
+        # configs written before the rollout_mode option was removed carry its one legal value
+        rollout_mode = raw.pop("rollout_mode", "full_autoregressive")
+        if rollout_mode != "full_autoregressive":
+            raise ConfigurationError(f"unsupported rollout_mode {rollout_mode!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -199,18 +201,14 @@ class Trainer:
         inputs, targets = self._gather(batch)
         b, t, n, _ = inputs.shape
         l = targets.shape[1]
-        flat = 3 * n
 
-        preds = rollout_graph(self.encoder, Tensor(inputs.reshape(b, t, flat)), l)
+        preds = rollout_graph(self.encoder, Tensor(inputs.reshape(b, t, 3 * n)), l)
         pred_poses = preds.reshape((b, l, n, 3))
 
         disc_value = 0.0
         if self.disc is not None and cfg.disc_steps_per_gen_step > 0:
-            boundary = inputs[:, -1:, :, :]
-            real_seq = np.concatenate([boundary, targets], axis=1)
-            real_deltas = (real_seq[:, 1:] - real_seq[:, :-1]).reshape(b * l, flat)
-            fake_seq = np.concatenate([boundary.reshape(b, 1, flat), preds.data], axis=1)
-            fake_deltas = (fake_seq[:, 1:] - fake_seq[:, :-1]).reshape(b * l, flat)
+            real_deltas = boundary_deltas(targets, inputs[:, -1])
+            fake_deltas = boundary_deltas(pred_poses.detach(), inputs[:, -1])
             for _ in range(cfg.disc_steps_per_gen_step):
                 d_loss = discriminator_loss(self.disc, real_deltas, fake_deltas)
                 disc_value = d_loss.item()
@@ -218,31 +216,25 @@ class Trainer:
                     raise DivergenceError(f"non-finite discriminator loss {disc_value}")
                 self.disc_opt.zero_grad()
                 d_loss.backward()
-                clip_gradients(self.disc_opt.params, cfg.grad_clip_norm)
-                self.disc_opt.step()
+                self._clipped_step(self.disc_opt, "discriminator")
 
-        breakdown = total_loss(
+        loss, breakdown = total_loss(
             pred_poses, targets, self.topo, self.disc, cfg.weights,
             last_observed=inputs[:, -1],
         )
         if not math.isfinite(breakdown.total):
             raise DivergenceError(f"non-finite training loss {breakdown.total}")
         self.enc_opt.zero_grad()
-        breakdown.total_node.backward()
-        clip_gradients(self.enc_opt.params, cfg.grad_clip_norm)
-        self.enc_opt.step()
-        breakdown.total_node = None  # release the rollout graph
+        loss.backward()
+        self._clipped_step(self.enc_opt, "encoder")
         return breakdown, disc_value
 
-
-def _collect_windows(corpus, t, l, stride):
-    out = []
-    if corpus is None:
-        return out
-    for seq in corpus.sequences:
-        if seq.n_frames >= t + l:
-            out.extend(window(seq, t, l, stride))
-    return out
+    def _clipped_step(self, opt, name):
+        """Clip, then step; a non-finite norm (which clipping cannot scale) stops the run."""
+        norm = clip_gradients(opt.params, self.cfg.grad_clip_norm)
+        if not math.isfinite(norm):
+            raise DivergenceError(f"non-finite {name} gradient norm {norm}")
+        opt.step()
 
 
 def _validation_horizons(cfg: TrainConfig, fps: int):
@@ -259,14 +251,7 @@ def _validation_horizons(cfg: TrainConfig, fps: int):
 def _validate(encoder, val_inputs, val_targets, horizon_ms, fps):
     if val_inputs is None or not horizon_ms:
         return {}
-    w, t, n, _ = val_inputs.shape
-    l = val_targets.shape[1]
-    preds = np.empty_like(val_targets)
-    with no_grad():
-        for start in range(0, w, 64):
-            chunk = val_inputs[start : start + 64]
-            out = rollout_graph(encoder, Tensor(chunk.reshape(len(chunk), t, 3 * n)), l)
-            preds[start : start + 64] = out.data.reshape(len(chunk), l, n, 3)
+    preds = _batched_rollout(encoder, val_inputs, val_targets.shape[1])
     period = 1000 // fps
     return {ms: mpjpe_at_horizon(preds, val_targets, ms // period) for ms in horizon_ms}
 
@@ -283,13 +268,10 @@ def fit(
     Checkpoints and the epoch log are written under ``out_dir`` when given.
     Bit-identical results for identical (corpus, config) on the same build.
     """
-    train_windows = _collect_windows(
-        corpus_set.train, cfg.history_frames, cfg.predict_frames, cfg.window_stride
-    )
+    t, l, stride = cfg.history_frames, cfg.predict_frames, cfg.window_stride
+    train_windows = collect_windows(corpus_set.train, t, l, stride)
     if not train_windows:
-        raise ConfigurationError(
-            f"train corpus yields no {cfg.history_frames}+{cfg.predict_frames}-frame windows"
-        )
+        raise ConfigurationError(f"train corpus yields no {t}+{l}-frame windows")
     n = corpus_set.topology.joint_count
     if train_windows[0].input.shape[1] != n:
         raise ConfigurationError("corpus joint count does not match its topology")
@@ -313,9 +295,7 @@ def fit(
     disc = DiscriminatorModel(d_cfg, rng)
     trainer = Trainer(encoder, disc, corpus_set.topology, cfg)
 
-    val_windows = _collect_windows(
-        corpus_set.test, cfg.history_frames, cfg.predict_frames, cfg.window_stride
-    )
+    val_windows = collect_windows(corpus_set.test, t, l, stride) if corpus_set.test else []
     val_inputs = np.stack([s.input for s in val_windows]) if val_windows else None
     val_targets = np.stack([s.target for s in val_windows]) if val_windows else None
     horizon_ms = _validation_horizons(cfg, fps)

@@ -179,6 +179,25 @@ class TestEval:
         assert (out / "strip_000.svg").exists()
         assert (out / "strip_001.svg").exists()
 
+    def test_render_skips_sequences_too_short_to_window(self, tmp_path):
+        from advmt import model
+        from advmt.data import CorpusConfig, generate_corpus, write_corpus
+        from advmt.skeleton import MotionSequence, SkeletonTopology
+
+        cs = generate_corpus(CorpusConfig(n_train=1, n_test=2, n_frames=78),
+                             SkeletonTopology.default_17())
+        first = cs.test.sequences[0]
+        cs.test.sequences[0] = MotionSequence(frames=first.frames[:60], fps=first.fps,
+                                              action_label=first.action_label)
+        manifest = write_corpus(cs, tmp_path / "corpus")
+        ckpt = tmp_path / "encoder.ckpt"
+        model.save_checkpoint(model.init_encoder(model.EncoderConfig(
+            input_dim=51, num_layers=1, num_heads=2, model_dim=16, ff_dim=16)), ckpt)
+        out = tmp_path / "strips"
+        assert run("eval", "--checkpoint", str(ckpt), "--data", manifest,
+                   "--out", str(out), "--render", "1") == 0
+        assert (out / "strip_000.svg").exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, corpus_dir):
         assert run("eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(corpus_dir / "manifest.json"),

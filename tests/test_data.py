@@ -215,6 +215,15 @@ class TestCorpus:
             assert np.array_equal(a.frames, b.frames)
             assert a.action_label == b.action_label
 
+    def test_mixed_frame_rates_rejected(self, topo17, tmp_path):
+        cs = generate_corpus(CorpusConfig(n_train=2, n_test=1, n_frames=8), topo17)
+        second = cs.train.sequences[1]
+        cs.train.sequences[1] = MotionSequence(frames=second.frames, fps=50,
+                                               action_label=second.action_label)
+        manifest = write_corpus(cs, tmp_path / "corpus")
+        with pytest.raises(ConfigurationError, match=r"walk_0001\.csv is at 50 fps.* 25 fps"):
+            load_corpus(manifest)
+
     def test_corpus_determinism_bytes(self, topo17, tmp_path):
         cfg = CorpusConfig(n_train=2, n_test=1, n_frames=8)
         p1 = tmp_path / "one"

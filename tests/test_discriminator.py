@@ -11,7 +11,7 @@ from advmt.discriminator import (
     save_checkpoint,
     score,
 )
-from advmt.errors import ConfigurationError, ContractError, DimensionError
+from advmt.errors import CheckpointError, ConfigurationError, ContractError, DimensionError
 from advmt.skeleton import temporal_difference
 from advmt.tensor import Tensor
 
@@ -166,6 +166,38 @@ class TestCheckpoint:
         path = tmp_path / "enc.ckpt"
         save_enc(enc, path)
         with pytest.raises(Exception, match="kind"):
+            load_checkpoint(path)
+
+    def _save_with_config(self, disc, path, **extra):
+        from dataclasses import asdict
+
+        from advmt import checkpoint
+
+        checkpoint.save(path, "discriminator", {**asdict(disc.config), **extra},
+                        disc.parameters())
+
+    def test_legacy_activation_key_loads(self, tmp_path):
+        disc = init_discriminator(DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), seed=7)
+        path = tmp_path / "disc.ckpt"
+        self._save_with_config(disc, path, activation="relu")
+        loaded = load_checkpoint(path)
+        assert loaded.config == disc.config
+        for a, b in zip(disc.parameters(), loaded.parameters()):
+            assert np.array_equal(a.data, b.data)
+
+    def test_other_activation_refused(self, tmp_path):
+        disc = init_discriminator(DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), seed=7)
+        path = tmp_path / "disc.ckpt"
+        self._save_with_config(disc, path, activation="tanh")
+        with pytest.raises(CheckpointError, match="activation 'tanh'"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_refused(self, tmp_path):
+        disc = init_discriminator(DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), seed=7)
+        disc.layers[0].W.data[1, 2] = np.inf
+        path = tmp_path / "disc.ckpt"
+        save_checkpoint(disc, path)
+        with pytest.raises(CheckpointError, match="disc.ckpt.*1 non-finite"):
             load_checkpoint(path)
 
 

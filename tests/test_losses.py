@@ -114,19 +114,19 @@ class TestTotalLoss:
     def test_reduces_to_mpjpe_with_zero_weights(self, rng):
         topo, disc, pred, truth, last = self._setup(rng)
         weights = LossWeights(lambda_bone=0.0, lambda_adv=0.0)
-        breakdown = total_loss(pred, truth, topo, disc, weights, last)
+        _, breakdown = total_loss(pred, truth, topo, disc, weights, last)
         assert breakdown.total == mpjpe(pred.data, truth)
 
     def test_zero_when_perfect_and_disc_silent(self, rng):
         topo, _, pred, _, last = self._setup(rng)
         disc = DiscriminatorModel(DiscriminatorConfig(input_dim=9, hidden_dims=(6,)), None)
-        breakdown = total_loss(pred, pred.data.copy(), topo, disc, LossWeights(), last)
+        _, breakdown = total_loss(pred, pred.data.copy(), topo, disc, LossWeights(), last)
         assert breakdown.total == 0.0
 
     def test_components_sum(self, rng):
         topo, disc, pred, truth, last = self._setup(rng)
         weights = LossWeights(lambda_bone=0.3, lambda_adv=0.05)
-        b = total_loss(pred, truth, topo, disc, weights, last)
+        _, b = total_loss(pred, truth, topo, disc, weights, last)
         assert abs(b.total - (b.mpjpe + 0.3 * b.bone + 0.05 * b.adversarial)) < 1e-12
 
     def test_component_oracle(self, rng):
@@ -134,7 +134,7 @@ class TestTotalLoss:
 
         topo, disc, pred, truth, last = self._setup(rng)
         weights = LossWeights(lambda_bone=0.2, lambda_adv=0.1)
-        b = total_loss(pred, truth, topo, disc, weights, last)
+        _, b = total_loss(pred, truth, topo, disc, weights, last)
         seq = np.concatenate([last[None], pred.data], axis=0)
         deltas = (seq[1:] - seq[:-1]).reshape(-1, 9)
         expected = (
@@ -147,13 +147,13 @@ class TestTotalLoss:
     def test_squared_norm_option(self, rng):
         topo, disc, pred, truth, last = self._setup(rng)
         weights = LossWeights(lambda_bone=0.0, lambda_adv=0.0, loss_norm="l2_squared")
-        b = total_loss(pred, truth, topo, disc, weights, last)
+        _, b = total_loss(pred, truth, topo, disc, weights, last)
         assert b.total == mean_squared_joint_error(pred.data, truth)
 
     def test_gradients_reach_prediction_not_disc(self, rng):
         topo, disc, pred, truth, last = self._setup(rng)
-        b = total_loss(pred, truth, topo, disc, LossWeights(), last)
-        b.total_node.backward()
+        loss, _ = total_loss(pred, truth, topo, disc, LossWeights(), last)
+        loss.backward()
         assert pred.grad is not None
         assert all(p.grad is None for p in disc.parameters())
 
@@ -167,7 +167,7 @@ class TestTotalLoss:
         pred = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
         truth = rng.standard_normal((4, 2, 3, 3))
         last = rng.standard_normal((4, 3, 3))
-        b = total_loss(pred, truth, topo, disc, LossWeights(), last)
+        loss, b = total_loss(pred, truth, topo, disc, LossWeights(), last)
         assert math.isfinite(b.total)
-        b.total_node.backward()
+        loss.backward()
         assert pred.grad.shape == pred.shape

@@ -242,6 +242,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="normalization statistics"):
             load_checkpoint(path)
 
+    def test_non_finite_parameter_refused(self, tiny_model, tmp_path):
+        tiny_model.head.W.data[0, 0] = np.nan
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(tiny_model, path)
+        with pytest.raises(CheckpointError, match="enc.ckpt.*1 non-finite"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -45,6 +45,15 @@ class TestConfig:
         cfg = TrainConfig(epochs=3, weights=LossWeights(lambda_adv=0.2))
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_legacy_rollout_mode_accepted(self):
+        raw = {"epochs": 2, "rollout_mode": "full_autoregressive"}
+        assert TrainConfig.from_dict(raw) == TrainConfig(epochs=2)
+        assert raw["rollout_mode"] == "full_autoregressive"  # the caller's dict is left alone
+
+    def test_other_rollout_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="rollout_mode"):
+            TrainConfig.from_dict({"rollout_mode": "teacher_forcing"})
+
 
 class TestAdam:
     def test_minimizes_quadratic(self):
@@ -114,6 +123,29 @@ class TestTrainStep:
         batch = window(cs.train.sequences[0], 50, 25, 5)[:2]
         with pytest.raises(DivergenceError):
             trainer.train_step(batch)
+
+    def test_nan_gradient_stops_before_adam_step(self, topo17):
+        # A forecast that lands exactly on every truth joint makes the sqrt
+        # vjp of the position error divide by zero: the loss is a finite 0
+        # but the gradient norm is NaN, which clipping cannot scale.
+        cs, cfg, enc_cfg, disc_cfg = small_setup(topo17)
+        from advmt.data import WindowedSample
+        from advmt.discriminator import DiscriminatorModel
+        from advmt.model import EncoderModel
+
+        rng = np.random.default_rng(0)
+        enc = EncoderModel(enc_cfg, rng)
+        for p in enc.head.params():
+            p.data[:] = 0.0  # a zeroed head repeats the last observed frame exactly
+        frame = cs.train.sequences[0].frames[:1]
+        still = WindowedSample(input=np.repeat(frame, 50, axis=0),
+                               target=np.repeat(frame, 25, axis=0))
+        trainer = Trainer(enc, DiscriminatorModel(disc_cfg, rng), topo17, cfg)
+        before = [p.data.copy() for p in enc.parameters()]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite encoder gradient norm"):
+                trainer.train_step([still])
+        assert all(np.array_equal(a, p.data) for a, p in zip(before, enc.parameters()))
 
 
 class TestFit:
@@ -209,9 +241,9 @@ class TestFit:
             p.zero_grad()
         from advmt.losses import total_loss
 
-        breakdown = total_loss(preds.reshape((b, 25, 17, 3)), targets, topo17, disc,
-                               cfg.weights, last_observed=inputs[:, -1])
-        breakdown.total_node.backward()
+        loss, _ = total_loss(preds.reshape((b, 25, 17, 3)), targets, topo17, disc,
+                             cfg.weights, last_observed=inputs[:, -1])
+        loss.backward()
         assert all(p.grad is not None for p in enc.parameters())
         assert all(p.grad is None for p in disc.parameters())
 
