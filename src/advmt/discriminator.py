@@ -59,7 +59,7 @@ class DiscriminatorModel:
         for i, layer in enumerate(self.layers):
             w = layer.W.detach() if frozen else layer.W
             b = layer.b.detach() if frozen else layer.b
-            x = x @ w + b
+            x = tensor.linear(x, w, b)
             if i < len(self.layers) - 1:
                 x = tensor.relu(x)
         return x

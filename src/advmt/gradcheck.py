@@ -22,7 +22,7 @@ from .discriminator import (
     score,
 )
 from .losses import LossWeights, total_loss
-from .model import EncoderConfig, EncoderLayer, EncoderModel
+from .model import EncoderConfig, EncoderLayer, EncoderModel, rollout_graph
 from .skeleton import SkeletonTopology
 from .tensor import Tensor
 
@@ -146,10 +146,19 @@ def _probe_relu(rng):
     return [a], lambda ts: (tensor.relu(ts[0]) * c).sum()
 
 
-def _probe_softmax(rng):
-    a = rng.standard_normal((2, 4))
-    c = rng.standard_normal((2, 4))
-    return [a], lambda ts: (tensor.softmax(ts[0], axis=1) * c).sum()
+def _probe_linear(rng):
+    x = rng.standard_normal((2, 3, 5))  # a 2-D weight broadcast over the batch axis
+    w = rng.standard_normal((5, 4))
+    b = rng.standard_normal(4)
+    c = rng.standard_normal((2, 3, 4))
+    return [x, w, b], lambda ts: (tensor.linear(ts[0], ts[1], ts[2]) * c).sum()
+
+
+def _probe_attention(rng):
+    q, k, v = (rng.standard_normal((2, 2, 4, 3)) for _ in range(3))
+    factor = float(rng.uniform(0.3, 1.0))
+    c = rng.standard_normal((2, 2, 4, 3))
+    return [q, k, v], lambda ts: (tensor.attention(ts[0], ts[1], ts[2], factor) * c).sum()
 
 
 def _probe_layer_norm(rng):
@@ -212,13 +221,14 @@ def _check_attention_block(rng, instances):
     return worst
 
 
-def _check_predict_next(rng, instances):
-    """Parameters and the observed window, through the normalized frame.
+def _check_rollout(rng, instances, l_frames):
+    """Parameters and the observed window, through an ``l_frames`` rollout.
 
     Statistics are non-identity and the window's last root is off the
     origin, so the window gradient covers the root anchor as well as the
     standardization; instances alternate between the displacement and
-    the position head.
+    the position head. From ``l_frames`` = 2 on, predicted frames re-enter
+    the window through ``concat`` and slicing.
     """
     from .losses import mpjpe
 
@@ -229,10 +239,10 @@ def _check_predict_next(rng, instances):
             rng.standard_normal(6), rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6)
         )
         hist = rng.standard_normal((8, 6)) + np.tile(rng.uniform(1.0, 2.0, 3), 2)
-        target = rng.standard_normal((1, 2, 3))
+        target = rng.standard_normal((l_frames, 2, 3))
 
         def forward(ts, enc=enc, target=target):
-            return mpjpe(enc.forward_window(ts[0]).reshape((1, 2, 3)), target)
+            return mpjpe(rollout_graph(enc, ts[0], l_frames).reshape(target.shape), target)
 
         def build(_rng, hist=hist, forward=forward):
             return [hist], forward
@@ -313,11 +323,13 @@ _SUITE = (
     ("mul", 1e-6, lambda rng, k: _check_inputs(rng, _probe_mul, k)),
     ("scale", 1e-6, lambda rng, k: _check_inputs(rng, _probe_scale, k)),
     ("relu", 1e-6, lambda rng, k: _check_inputs(rng, _probe_relu, k)),
-    ("softmax", 1e-6, lambda rng, k: _check_inputs(rng, _probe_softmax, k)),
+    ("linear", 1e-6, lambda rng, k: _check_inputs(rng, _probe_linear, k)),
+    ("attention", 1e-6, lambda rng, k: _check_inputs(rng, _probe_attention, k)),
     ("layer_norm", 1e-5, lambda rng, k: _check_inputs(rng, _probe_layer_norm, k)),
     ("backward_mlp", 1e-5, lambda rng, k: _check_inputs(rng, _probe_mlp, k)),
     ("attention_block", 1e-4, _check_attention_block),
-    ("predict_next", 1e-4, _check_predict_next),
+    ("predict_next", 1e-4, lambda rng, k: _check_rollout(rng, k, 1)),
+    ("rollout_chain", 1e-4, lambda rng, k: _check_rollout(rng, k, 3)),
     ("disc_score", 1e-5, _check_disc_score),
     ("generator_adv", 1e-4, _check_generator_adv),
     ("total_loss_pred", 1e-4, _check_total_loss_pred),

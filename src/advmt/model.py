@@ -131,7 +131,7 @@ class Linear:
         self.b = Tensor(np.zeros(fan_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.W + self.b
+        return tensor.linear(x, self.W, self.b)
 
     def params(self):
         return [self.W, self.b]
@@ -176,11 +176,7 @@ class EncoderLayer:
         q = self._split_heads(self.wq(h))
         k = self._split_heads(self.wk(h))
         v = self._split_heads(self.wv(h))
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
-        probs = tensor.softmax(scores, axis=-1)
-        if collect is not None:
-            collect.append(probs.data)
-        ctx = probs @ v  # (..., H, T, dk)
+        ctx = tensor.attention(q, k, v, 1.0 / math.sqrt(self.head_dim), collect=collect)
         merged = ctx.swapaxes(-3, -2)
         merged = merged.reshape(merged.shape[:-2] + (self.num_heads * self.head_dim,))
         return self.wo(merged)

@@ -262,19 +262,24 @@ def relu(a) -> Tensor:
     return Tensor._result(np.where(mask, a.data, 0.0), (a,), vjp)
 
 
-# -- matmul ------------------------------------------------------------------
+# -- matmul and the fused linear and attention ops -------------------------------
+
+
+def _check_matmul(a: tuple, b: tuple, op: str):
+    """Raise unless arrays of shapes ``a`` and ``b`` can be matrix-multiplied."""
+    if len(a) < 2 or len(b) < 2:
+        raise DimensionError(f"{op} requires rank >= 2 operands, got {a} and {b}")
+    if a[-1] != b[-2]:
+        raise DimensionError(f"{op}: inner extents differ for shapes {a} and {b}")
+    try:
+        np.broadcast_shapes(a[:-2], b[:-2])
+    except ValueError:
+        raise DimensionError(f"{op}: batch extents of {a} and {b} do not broadcast") from None
 
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul requires rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise DimensionError(f"matmul: batch extents of {a.shape} and {b.shape} do not broadcast") from None
+    _check_matmul(a.shape, b.shape, "matmul")
 
     def vjp(g):
         ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
@@ -284,21 +289,63 @@ def matmul(a, b) -> Tensor:
     return Tensor._result(a.data @ b.data, (a, b), vjp)
 
 
-# -- softmax / layer norm ----------------------------------------------------
-
-
-def softmax(x, axis=-1) -> Tensor:
-    x = as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+def linear(x, W, b) -> Tensor:
+    """``x @ W + b`` as one node; backward needs only x and W, so the
+    product is not kept. Values and gradients equal ``matmul`` then ``add``."""
+    x, W, b = as_tensor(x), as_tensor(W), as_tensor(b)
+    _check_matmul(x.shape, W.shape, "linear")
+    product = x.data @ W.data
+    try:
+        fits = np.broadcast_shapes(product.shape, b.shape) == product.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionError(f"linear: bias {b.shape} does not broadcast to {product.shape}")
+    product += b.data
 
     def vjp(g):
-        return ((x, s * (g - (g * s).sum(axis=axis, keepdims=True))),)
+        gx = _unbroadcast(g @ W.data.swapaxes(-1, -2), x.shape)
+        gW = _unbroadcast(x.data.swapaxes(-1, -2) @ g, W.shape)
+        return ((x, gx), (W, gW), (b, _unbroadcast(g, b.shape)))
 
-    return Tensor._result(s, (x,), vjp)
+    return Tensor._result(product, (x, W, b), vjp)
+
+
+def attention(q, k, v, scale: float, collect=None) -> Tensor:
+    """``softmax(q @ kᵀ · scale) @ v`` over the last axis, as one node.
+
+    The scores become the probabilities in place, so the node keeps one
+    (..., T, T) buffer and backward reads only q, k, v and that buffer.
+    The numpy expressions are those of the ``matmul``, scalar multiply,
+    softmax and ``matmul`` chain on the same views, so values and
+    gradients equal that chain's bit for bit. ``collect``, when given,
+    receives the probabilities.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    k_t = k.data.swapaxes(-1, -2)
+    _check_matmul(q.shape, k_t.shape, "attention")
+    _check_matmul(q.shape[:-1] + k_t.shape[-1:], v.shape, "attention")
+    probs = q.data @ k_t
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect.append(probs)
+
+    def vjp(g):
+        gprobs = _unbroadcast(g @ v.data.swapaxes(-1, -2), probs.shape)
+        gv = _unbroadcast(probs.swapaxes(-1, -2) @ g, v.shape)
+        gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
+        gscores *= scale
+        gq = _unbroadcast(gscores @ k_t.swapaxes(-1, -2), q.shape)
+        gk = _unbroadcast(q.data.swapaxes(-1, -2) @ gscores, k_t.shape).swapaxes(-1, -2)
+        return ((q, gq), (k, gk), (v, gv))
+
+    return Tensor._result(probs @ v.data, (q, k, v), vjp)
+
+
+# -- layer norm ----------------------------------------------------------------
 
 
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:

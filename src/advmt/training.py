@@ -21,7 +21,7 @@ from . import discriminator as disc_mod
 from . import model as model_mod
 from .data import CorpusSet
 from .discriminator import DiscriminatorConfig, DiscriminatorModel, discriminator_loss
-from .errors import ConfigurationError, ContractError, DivergenceError
+from .errors import ConfigurationError, ContractError, DivergenceError, HorizonError
 from .evaluation import DEFAULT_HORIZONS_MS, _batched_rollout, collect_windows, mpjpe_at_horizon
 from .losses import LossWeights, boundary_deltas, total_loss
 from .model import EncoderConfig, EncoderModel, rollout_graph
@@ -238,9 +238,13 @@ class Trainer:
 
 
 def _validation_horizons(cfg: TrainConfig, fps: int):
-    horizons = []
+    """Default horizons within the predicted span; ``evaluate`` refuses the same fps."""
     if 1000 % fps:
-        return horizons
+        raise HorizonError(
+            f"{fps} fps has a non-integer frame period in ms, so the test split "
+            "cannot be scored at the validation horizons"
+        )
+    horizons = []
     period = 1000 // fps
     for ms in DEFAULT_HORIZONS_MS:
         if ms % period == 0 and ms // period <= cfg.predict_frames:
@@ -298,7 +302,7 @@ def fit(
     val_windows = collect_windows(corpus_set.test, t, l, stride) if corpus_set.test else []
     val_inputs = np.stack([s.input for s in val_windows]) if val_windows else None
     val_targets = np.stack([s.target for s in val_windows]) if val_windows else None
-    horizon_ms = _validation_horizons(cfg, fps)
+    horizon_ms = _validation_horizons(cfg, fps) if corpus_set.test else []
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -4,7 +4,8 @@ import pytest
 from advmt import tensor
 from advmt.errors import ContractError, DimensionError
 from advmt.gradcheck import central_difference, relative_error
-from advmt.tensor import Tensor, concat, layer_norm, matmul, softmax, stack
+from advmt.model import EncoderConfig, EncoderModel
+from advmt.tensor import Tensor, attention, concat, layer_norm, linear, matmul, stack
 
 
 def grad_of(forward, *arrays):
@@ -91,22 +92,33 @@ class TestElementwise:
         assert relative_error(gb, fd_of(forward, [a, b], 1)) < 1e-6
 
 
+def softmax_rows(x):
+    """Row softmax through ``attention``: identity keys and values with unit
+    scale make the scores ``x`` and the output the probabilities."""
+    x = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
+    eye = Tensor(np.eye(x.shape[-1]))
+    return attention(x, eye, eye, 1.0)
+
+
 class TestSoftmax:
+    """The softmax inside ``attention``."""
+
     def test_symmetry(self):
-        out = softmax(Tensor([0.0, 0.0, 0.0]), axis=0)
-        assert np.allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = softmax_rows([0.0, 0.0, 0.0])
+        assert np.allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_large_inputs_stable(self):
-        out = softmax(Tensor([1000.0, 0.0]), axis=0)
-        assert np.isfinite(out.data).all()
-        assert out.data[0] == pytest.approx(1.0)
-        assert out.data[1] == 0.0
+        probs = []
+        attention(Tensor([[1000.0, 0.0]]), Tensor(np.eye(2)), Tensor(np.eye(2)), 1.0, collect=probs)
+        assert np.isfinite(probs[0]).all()
+        assert probs[0][0, 0] == pytest.approx(1.0)
+        assert probs[0][0, 1] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_sum_to_one(self, seed):
         r = np.random.default_rng(seed)
         x = r.uniform(-1e3, 1e3, size=(4, 7))
-        out = softmax(Tensor(x), axis=-1)
+        out = softmax_rows(x)
         assert (out.data >= 0).all()
         assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
 
@@ -114,9 +126,93 @@ class TestSoftmax:
         for _ in range(10):
             x = rng.standard_normal((2, 4))
             c = rng.standard_normal((2, 4))
-            forward = lambda t: (softmax(t, axis=1) * c).sum()
+            forward = lambda t: (softmax_rows(t) * c).sum()
             (g,) = grad_of(forward, x)
             assert relative_error(g, fd_of(forward, [x], 0)) < 1e-6
+
+
+def softmax_node(x):
+    """The engine's softmax node before attention was fused: the oracle's middle."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        return ((x, s * (g - (g * s).sum(axis=-1, keepdims=True))),)
+
+    return Tensor._result(s, (x,), vjp)
+
+
+def values_and_grads(forward, *arrays):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = forward(*leaves)
+    out.sum().backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+def assert_bitwise(fused, chain):
+    assert len(fused) == len(chain)
+    for a, b in zip(fused, chain):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestFusedOps:
+    """Fused nodes against the chains of small nodes they replace, bit for bit."""
+
+    @pytest.mark.parametrize("x_shape", [(3, 5, 4), (5, 4)])
+    def test_linear_matches_matmul_add(self, rng, x_shape):
+        x = rng.standard_normal(x_shape)
+        w, b = rng.standard_normal((4, 6)), rng.standard_normal(6)
+        c = rng.standard_normal(x_shape[:-1] + (6,))
+        fused = values_and_grads(lambda *t: linear(*t) * c, x, w, b)
+        chain = values_and_grads(lambda xx, ww, bb: (xx @ ww + bb) * c, x, w, b)
+        assert_bitwise(fused, chain)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (5, 4)])
+    def test_attention_matches_chain(self, rng, shape):
+        q, k, v = (rng.standard_normal(shape) for _ in range(3))
+        c = rng.standard_normal(shape)
+        scale = 1.0 / np.sqrt(3.0)
+
+        def chain_forward(qq, kk, vv):
+            return softmax_node(matmul(qq, kk.swapaxes(-1, -2)) * scale) @ vv * c
+
+        fused = values_and_grads(lambda *t: attention(*t, scale) * c, q, k, v)
+        assert_bitwise(fused, values_and_grads(chain_forward, q, k, v))
+
+    def test_attention_collects_probabilities(self, rng):
+        q, k, v = (rng.standard_normal((2, 5, 3)) for _ in range(3))
+        probs = []
+        attention(Tensor(q), Tensor(k), Tensor(v), 0.5, collect=probs)
+        assert probs[0].shape == (2, 5, 5)
+        assert np.abs(probs[0].sum(axis=-1) - 1.0).max() < 1e-12
+
+    def test_shape_errors_name_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(4, 5\).*\(3, 2\)"):
+            linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(DimensionError, match="bias"):
+            linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((5, 2))), Tensor(np.zeros(3)))
+        q = Tensor(np.zeros((4, 3)))
+        with pytest.raises(DimensionError):
+            attention(q, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))), 1.0)
+        with pytest.raises(DimensionError):
+            attention(q, Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))), 1.0)
+
+    def test_encoder_window_graph_node_count(self):
+        """Pinned so an unfused path coming back fails: the matmul-add linears
+        and the five-node attention chain gave this graph 119 nodes."""
+        cfg = EncoderConfig(input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24,
+                            history_len=8)
+        enc = EncoderModel(cfg, np.random.default_rng(0))
+        out = enc.forward_window(Tensor(np.ones((8, 6)), requires_grad=True))
+        seen, stack_ = {id(out)}, [out]
+        while stack_:
+            for parent in stack_.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack_.append(parent)
+        assert len(seen) == 95
 
 
 class TestLayerNorm:

@@ -3,7 +3,7 @@ import pytest
 
 from advmt.data import CorpusConfig, generate_corpus
 from advmt.discriminator import DiscriminatorConfig
-from advmt.errors import ConfigurationError, ContractError, DivergenceError
+from advmt.errors import ConfigurationError, ContractError, DivergenceError, HorizonError
 from advmt.losses import LossWeights
 from advmt.model import EncoderConfig
 from advmt.tensor import Tensor
@@ -154,6 +154,24 @@ class TestFit:
         short = generate_corpus(CorpusConfig(n_train=2, n_test=0, n_frames=30), topo17)
         with pytest.raises(ConfigurationError):
             fit(short, cfg, encoder_config=enc_cfg, disc_config=disc_cfg)
+
+    def test_fps_without_whole_ms_period_refused_before_training(self, topo17, monkeypatch):
+        corpus = generate_corpus(CorpusConfig(n_train=4, n_test=2, n_frames=78, fps=30), topo17)
+        _, cfg, enc_cfg, disc_cfg = small_setup(topo17, corpus=corpus)
+        steps = []
+        monkeypatch.setattr(Trainer, "train_step", lambda self, batch: steps.append(batch))
+        with pytest.raises(HorizonError, match="30 fps"):
+            fit(corpus, cfg, encoder_config=enc_cfg, disc_config=disc_cfg)
+        assert steps == []
+
+    def test_no_validation_columns_without_a_scorable_horizon(self, topo17):
+        # without a test split any fps trains; with one, a span shorter than
+        # every horizon (160 ms is 4 frames at 25 fps) trains unscored
+        no_test = generate_corpus(CorpusConfig(n_train=4, n_test=0, n_frames=78, fps=30), topo17)
+        for corpus, overrides in ((no_test, {}), (None, {"predict_frames": 3})):
+            cs, cfg, enc_cfg, disc_cfg = small_setup(topo17, corpus=corpus, **overrides)
+            _, _, log = fit(cs, cfg, encoder_config=enc_cfg, disc_config=disc_cfg)
+            assert [r.val_mpjpe for r in log.records] == [{}]
 
     def test_deterministic_across_runs(self, topo17, tmp_path):
         cs, cfg, enc_cfg, disc_cfg = small_setup(topo17, epochs=2)
