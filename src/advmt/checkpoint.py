@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError, build_config
 from .tensor import Tensor
 
 MAGIC = b"MTCK"
@@ -39,8 +39,8 @@ def save(path, kind: str, config: dict, params: List[Tensor]):
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
-def load(path, expected_kind: str) -> tuple:
-    """Returns (version, config dict without the kind tag, flat float64 values)."""
+def load(path, expected_kind: str, config_cls) -> tuple:
+    """Returns (version, ``config_cls`` built from the config block, flat float64 values)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != MAGIC:
@@ -57,6 +57,10 @@ def load(path, expected_kind: str) -> tuple:
     kind = config.pop("kind", None)
     if kind != expected_kind:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
+    try:
+        config = build_config(config_cls, config, f"{expected_kind} config")
+    except ConfigurationError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     body = raw[12 + blob_len :]
     if len(body) % 8:
         raise CheckpointError(f"{path}: truncated parameter block")

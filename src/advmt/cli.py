@@ -29,7 +29,7 @@ from .data import (
     save_csv,
     write_corpus,
 )
-from .errors import AdvmtError, DivergenceError
+from .errors import AdvmtError, DivergenceError, build_config
 from .evaluation import (
     DEFAULT_HORIZONS_MS,
     HorizonSet,
@@ -141,7 +141,7 @@ def cmd_generate(args) -> int:
     })
     if args.styles is not None:
         raw["styles"] = tuple(args.styles.split(","))
-    cfg = CorpusConfig(**raw)
+    cfg = build_config(CorpusConfig, raw, "corpus config")
     if seed:
         cfg.train_seed_base += seed
         cfg.test_seed_base += seed
@@ -204,9 +204,7 @@ def cmd_train(args) -> int:
     enc_raw = raw.pop("encoder", None)
     disc_raw = raw.pop("discriminator", None)
     weights_raw = dict(raw.pop("weights", {}))
-    _override(weights_raw, args, {
-        "lambda_bone": "lambda_bone", "lambda_adv": "lambda_adv", "loss_norm": "loss_norm",
-    })
+    _override(weights_raw, args, {"lambda_bone": "lambda_bone", "lambda_adv": "lambda_adv"})
     seed = _resolve_seed(args.seed, raw.pop("seed", None))
     _override(raw, args, {
         "epochs": "epochs", "batch_size": "batch_size", "lr_encoder": "lr_encoder",
@@ -225,11 +223,11 @@ def cmd_train(args) -> int:
     if enc_raw is not None:
         enc_raw.setdefault("input_dim", flat)
         enc_raw.setdefault("history_len", cfg.history_frames)
-        enc_cfg = model_mod.EncoderConfig(**enc_raw)
+        enc_cfg = build_config(model_mod.EncoderConfig, enc_raw, "encoder config")
     disc_cfg = None
     if disc_raw is not None:
         disc_raw.setdefault("input_dim", flat)
-        disc_cfg = disc_mod.DiscriminatorConfig(**disc_raw)
+        disc_cfg = build_config(disc_mod.DiscriminatorConfig, disc_raw, "discriminator config")
 
     with RunDirectory(args.out) as run:
         run.write_manifest("train", cfg.to_dict(), seed, args.config)
@@ -395,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-disc", dest="lr_disc", type=float)
     p.add_argument("--lambda-bone", dest="lambda_bone", type=float)
     p.add_argument("--lambda-adv", dest="lambda_adv", type=float)
-    p.add_argument("--loss-norm", dest="loss_norm", choices=("l2", "l2_squared"))
     p.add_argument("--disc-steps", dest="disc_steps", type=int)
     p.add_argument("--grad-clip", dest="grad_clip", type=float)
     p.add_argument("--history-frames", dest="history_frames", type=int)

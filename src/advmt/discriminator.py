@@ -9,12 +9,12 @@ offset added to all absolute poses of a sequence.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 import numpy as np
 
 from . import checkpoint, tensor
-from .errors import CheckpointError, ConfigurationError, ContractError, DimensionError
+from .errors import ConfigurationError, ContractError, DimensionError
 from .model import Linear
 from .tensor import Tensor, as_tensor
 
@@ -23,6 +23,7 @@ from .tensor import Tensor, as_tensor
 class DiscriminatorConfig:
     input_dim: int  # 3N, one flattened frame difference
     hidden_dims: tuple = (128, 64)
+    RETIRED: ClassVar[dict] = {"activation": "relu"}
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -123,11 +124,7 @@ def save_checkpoint(disc: DiscriminatorModel, path):
 
 
 def load_checkpoint(path) -> DiscriminatorModel:
-    _, config, flat = checkpoint.load(path, "discriminator")
-    # configs written before the activation option was removed carry its one legal value
-    activation = config.pop("activation", "relu")
-    if activation != "relu":
-        raise CheckpointError(f"{path}: unsupported discriminator activation {activation!r}")
-    disc = DiscriminatorModel(DiscriminatorConfig(**config), rng=None)
+    _, config, flat = checkpoint.load(path, "discriminator", DiscriminatorConfig)
+    disc = DiscriminatorModel(config, rng=None)
     checkpoint.fill_params(path, disc.parameters(), flat)
     return disc

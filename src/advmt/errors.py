@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one config reader.
 
 Grouping them here lets the CLI map error categories onto exit codes
 without string matching.
 """
+
+import dataclasses
 
 
 class AdvmtError(Exception):
@@ -51,3 +53,31 @@ class ReportError(AdvmtError, ValueError):
 
 class DivergenceError(AdvmtError, RuntimeError):
     """Training produced a non-finite loss; message carries epoch and step."""
+
+
+def build_config(cls, raw: dict, where: str):
+    """Construct the config dataclass ``cls`` from a copy of ``raw``.
+
+    Each key of ``cls.RETIRED`` (key -> the one value that still loads)
+    is dropped when it carries that value and refused otherwise; unknown
+    keys and missing required fields are refused by name. ``where`` opens
+    every message. The caller's dict is never changed.
+    """
+    raw = dict(raw)
+    for key, kept in getattr(cls, "RETIRED", {}).items():
+        value = raw.pop(key, kept)
+        if type(value) is not type(kept) or value != kept:  # JSON 1 is not true
+            raise ConfigurationError(
+                f"{where}: unsupported {key} {value!r}; {key} was removed and only {kept!r} loads"
+            )
+    declared = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(declared))
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown keys {unknown}")
+    missing = sorted(
+        name for name, f in declared.items() if name not in raw
+        and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    if missing:
+        raise ConfigurationError(f"{where}: missing required keys {missing}")
+    return cls(**raw)

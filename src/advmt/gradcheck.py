@@ -108,88 +108,59 @@ def _check_param_subset(rng, params, loss_fn, n_coords) -> float:
 # -- per-op probes -------------------------------------------------------------
 
 
-def _probe_matmul(rng):
-    a = rng.standard_normal((4, 5))
-    b = rng.standard_normal((5, 3))
-    c = rng.standard_normal((4, 3))
-    return [a, b], lambda ts: (tensor.matmul(ts[0], ts[1]) * c).sum()
+def _normal(rng, shape):
+    return rng.standard_normal(shape)
 
 
-def _probe_add(rng):
-    a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    c = rng.standard_normal((3, 4))
-    return [a, b], lambda ts: (tensor.add(ts[0], ts[1]) * c).sum()
+def _positive(rng, shape):
+    """Unit-scale values at least 0.5 from sqrt's singularity at 0."""
+    return rng.uniform(0.5, 2.0, shape)
 
 
-def _probe_sub(rng):
-    a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    c = rng.standard_normal((3, 4))
-    return [a, b], lambda ts: (tensor.sub(ts[0], ts[1]) * c).sum()
+def _signed(rng, shape):
+    """Unit-scale values at least 0.5 from abs's kink at 0."""
+    return rng.choice((-1.0, 1.0), shape) * _positive(rng, shape)
 
 
-def _probe_mul(rng):
-    a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-    c = rng.standard_normal((3, 3))
-    return [a, b], lambda ts: (tensor.mul(ts[0], ts[1]) * c).sum()
+def _op(fn, *shapes, draw=_normal):
+    """Probe builder: ``fn`` on inputs of ``shapes``, contracted with a random
+    cotangent of the output's shape. A string names a ``tensor`` function,
+    looked up on every build so that a patched op is the one checked."""
+
+    def build(rng):
+        op = getattr(tensor, fn) if isinstance(fn, str) else fn
+        arrays = [draw(rng, shape) for shape in shapes]
+        c = rng.standard_normal(op(*(Tensor(a) for a in arrays)).shape)
+        return arrays, lambda ts: (op(*ts) * c).sum()
+
+    return build
 
 
-def _probe_scale(rng):
-    a = rng.standard_normal((4, 4))
-    factor = float(rng.standard_normal())
-    c = rng.standard_normal((4, 4))
-    return [a], lambda ts: (tensor.scale(ts[0], factor) * c).sum()
+def _inputs(*builds):
+    """Suite runner: the worst input-gradient error over every probe builder."""
+    return lambda rng, k: max(_check_inputs(rng, build, k) for build in builds)
 
 
-def _probe_relu(rng):
-    a = rng.standard_normal((3, 4))
-    c = rng.standard_normal((3, 4))
-    return [a], lambda ts: (tensor.relu(ts[0]) * c).sum()
+def _mlp(x, w1, b1, w2):
+    out = tensor.relu(x @ w1 + b1) @ w2
+    return out * out  # one node feeding both operands of a product
 
 
-def _probe_linear(rng):
-    x = rng.standard_normal((2, 3, 5))  # a 2-D weight broadcast over the batch axis
-    w = rng.standard_normal((5, 4))
-    b = rng.standard_normal(4)
-    c = rng.standard_normal((2, 3, 4))
-    return [x, w, b], lambda ts: (tensor.linear(ts[0], ts[1], ts[2]) * c).sum()
-
-
-def _probe_attention(rng):
-    q, k, v = (rng.standard_normal((2, 2, 4, 3)) for _ in range(3))
-    factor = float(rng.uniform(0.3, 1.0))
-    c = rng.standard_normal((2, 2, 4, 3))
-    return [q, k, v], lambda ts: (tensor.attention(ts[0], ts[1], ts[2], factor) * c).sum()
-
-
-def _probe_layer_norm(rng):
-    x = rng.standard_normal((3, 5))
-    gain = rng.standard_normal(5)
-    bias = rng.standard_normal(5)
-    c = rng.standard_normal((3, 5))
-    return [x, gain, bias], lambda ts: (tensor.layer_norm(ts[0], ts[1], ts[2]) * c).sum()
-
-
-def _probe_mlp(rng):
-    x = rng.standard_normal((2, 6))
-    w1 = rng.standard_normal((6, 8)) * 0.5
-    b1 = rng.standard_normal(8) * 0.1
-    w2 = rng.standard_normal((8, 1)) * 0.5
-    y = rng.standard_normal((2, 1))
-
-    def forward(ts):
-        h = tensor.relu(ts[0] @ ts[1] + ts[2])
-        diff = h @ ts[3] - y
-        return (diff * diff).mean()
-
-    return [x, w1, b1, w2], forward
-
-
-def _tiny_encoder(rng, predict_delta=True):
+def _tiny_encoder(rng):
     cfg = EncoderConfig(
-        input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24, history_len=8,
-        predict_delta=predict_delta,
+        input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24, history_len=8
     )
     return EncoderModel(cfg, rng)
+
+
+def _live_discriminator(rng, input_dim):
+    """A small discriminator with a random output layer. At init that layer
+    is zero, which zeroes every gradient below it and leaves the layers
+    under it unchecked."""
+    disc = DiscriminatorModel(DiscriminatorConfig(input_dim=input_dim, hidden_dims=(8, 4)), rng)
+    out = disc.layers[-1]
+    out.W.data = rng.standard_normal(out.W.shape)
+    return disc
 
 
 def _chain_topology(n):
@@ -226,15 +197,14 @@ def _check_rollout(rng, instances, l_frames):
 
     Statistics are non-identity and the window's last root is off the
     origin, so the window gradient covers the root anchor as well as the
-    standardization; instances alternate between the displacement and
-    the position head. From ``l_frames`` = 2 on, predicted frames re-enter
+    standardization. From ``l_frames`` = 2 on, predicted frames re-enter
     the window through ``concat`` and slicing.
     """
     from .losses import mpjpe
 
     worst = 0.0
-    for i in range(instances):
-        enc = _tiny_encoder(rng, predict_delta=i % 2 == 0)
+    for _ in range(instances):
+        enc = _tiny_encoder(rng)
         enc.set_frame_statistics(
             rng.standard_normal(6), rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6)
         )
@@ -258,9 +228,7 @@ def _check_rollout(rng, instances, l_frames):
 def _check_disc_score(rng, instances):
     worst = 0.0
     for _ in range(instances):
-        disc = DiscriminatorModel(
-            DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), rng
-        )
+        disc = _live_discriminator(rng, 6)
         deltas = rng.standard_normal((5, 2, 3))
         c = rng.standard_normal(5)
         d = Tensor(deltas)
@@ -275,7 +243,7 @@ def _check_disc_score(rng, instances):
 
 def _check_generator_adv(rng, instances):
     def build(r):
-        disc = DiscriminatorModel(DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), r)
+        disc = _live_discriminator(r, 6)
         fake = r.standard_normal((4, 2, 3))
         return [fake], lambda ts: generator_adversarial_loss(disc, ts[0])
 
@@ -287,7 +255,7 @@ def _check_total_loss_pred(rng, instances):
     weights = LossWeights()
 
     def build(r):
-        disc = DiscriminatorModel(DiscriminatorConfig(input_dim=9, hidden_dims=(8, 4)), r)
+        disc = _live_discriminator(r, 9)
         pred = r.standard_normal((2, 3, 3))
         truth = r.standard_normal((2, 3, 3))
         last = r.standard_normal((3, 3))
@@ -302,7 +270,7 @@ def _check_total_loss_end_to_end(rng, instances):
     worst = 0.0
     for _ in range(instances):
         enc = _tiny_encoder(rng)
-        disc = DiscriminatorModel(DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), rng)
+        disc = _live_discriminator(rng, 6)
         hist = rng.standard_normal((8, 6))
         truth = rng.standard_normal((1, 2, 3))
         h = Tensor(hist)
@@ -317,16 +285,29 @@ def _check_total_loss_end_to_end(rng, instances):
 
 
 _SUITE = (
-    ("matmul", 1e-6, lambda rng, k: _check_inputs(rng, _probe_matmul, k)),
-    ("add", 1e-6, lambda rng, k: _check_inputs(rng, _probe_add, k)),
-    ("sub", 1e-6, lambda rng, k: _check_inputs(rng, _probe_sub, k)),
-    ("mul", 1e-6, lambda rng, k: _check_inputs(rng, _probe_mul, k)),
-    ("scale", 1e-6, lambda rng, k: _check_inputs(rng, _probe_scale, k)),
-    ("relu", 1e-6, lambda rng, k: _check_inputs(rng, _probe_relu, k)),
-    ("linear", 1e-6, lambda rng, k: _check_inputs(rng, _probe_linear, k)),
-    ("attention", 1e-6, lambda rng, k: _check_inputs(rng, _probe_attention, k)),
-    ("layer_norm", 1e-5, lambda rng, k: _check_inputs(rng, _probe_layer_norm, k)),
-    ("backward_mlp", 1e-5, lambda rng, k: _check_inputs(rng, _probe_mlp, k)),
+    ("matmul", 1e-6, _inputs(_op("matmul", (2, 4, 5), (5, 3)))),
+    ("add", 1e-6, _inputs(_op("add", (3, 4), (4,)))),
+    ("sub", 1e-6, _inputs(_op("sub", (3, 1), (3, 4)))),
+    ("mul", 1e-6, _inputs(_op("mul", (3, 4), (3, 1)), _op(lambda a: a * -1.7, (3, 4)))),
+    ("relu", 1e-6, _inputs(_op("relu", (3, 4)))),
+    ("sqrt", 1e-6, _inputs(_op("sqrt", (3, 4), draw=_positive))),
+    ("tabs", 1e-6, _inputs(_op("tabs", (3, 4), draw=_signed))),
+    ("tsum", 1e-6, _inputs(_op(lambda x: x.sum(axis=(0, 2)), (2, 3, 4)),
+                           _op(lambda x: x.sum(axis=(0, -1), keepdims=True), (2, 3, 4)))),
+    ("tmean", 1e-6, _inputs(_op(lambda x: x.mean(axis=(0, 2)), (2, 3, 4)),
+                            _op(lambda x: x.mean(axis=(1, 2), keepdims=True), (2, 3, 4)))),
+    ("reshape", 1e-6, _inputs(_op(lambda x: x.reshape((4, 3)), (2, 6)))),
+    ("swapaxes", 1e-6, _inputs(_op(lambda x: x.swapaxes(0, 2), (2, 3, 4)))),
+    # a basic slice, and an index list repeating joint 0 (the np.add.at path)
+    ("take", 1e-6, _inputs(_op(lambda x: x[1:, ::2], (3, 5)),
+                           _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),
+    ("stack", 1e-6, _inputs(_op(lambda a, b: tensor.stack([a, b], axis=1), (2, 3), (2, 3)))),
+    ("concat", 1e-6, _inputs(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
+    ("linear", 1e-6, _inputs(_op("linear", (2, 3, 5), (5, 4), (4,)))),
+    ("attention", 1e-6, _inputs(_op(lambda q, k, v: tensor.attention(q, k, v, 0.6),
+                                    (2, 2, 4, 3), (2, 2, 4, 3), (2, 2, 4, 3)))),
+    ("layer_norm", 1e-5, _inputs(_op("layer_norm", (3, 5), (5,), (5,)))),
+    ("backward_mlp", 1e-5, _inputs(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
     ("attention_block", 1e-4, _check_attention_block),
     ("predict_next", 1e-4, lambda rng, k: _check_rollout(rng, k, 1)),
     ("rollout_chain", 1e-4, lambda rng, k: _check_rollout(rng, k, 3)),

@@ -8,6 +8,7 @@ numpy inputs) and as differentiable graph nodes on Tensor inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,24 +18,18 @@ from .errors import ConfigurationError, ContractError, DimensionError, TopologyE
 from .skeleton import Pose, SkeletonTopology
 from .tensor import Tensor, as_tensor
 
-LOSS_NORMS = ("l2", "l2_squared")
-
 
 @dataclass(frozen=True)
 class LossWeights:
     lambda_bone: float = 0.1
     lambda_adv: float = 0.01
-    loss_norm: str = "l2"
+    RETIRED: ClassVar[dict] = {"loss_norm": "l2"}
 
     def __post_init__(self):
         for name in ("lambda_bone", "lambda_adv"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
-        if self.loss_norm not in LOSS_NORMS:
-            raise ConfigurationError(
-                f"loss_norm must be one of {LOSS_NORMS}, got {self.loss_norm!r}"
-            )
 
 
 @dataclass
@@ -66,17 +61,6 @@ def mpjpe(pred, truth):
     truth_t = as_tensor(truth)
     _check_pose_arrays(pred_t, truth_t)
     out = _joint_distances(pred_t - truth_t).mean()
-    return out if graph else out.item()
-
-
-def mean_squared_joint_error(pred, truth):
-    """Squared-distance variant of the position term (training-only option)."""
-    graph = isinstance(pred, Tensor)
-    pred_t = as_tensor(pred)
-    truth_t = as_tensor(truth)
-    _check_pose_arrays(pred_t, truth_t)
-    diff = pred_t - truth_t
-    out = (diff * diff).sum(axis=-1).mean()
     return out if graph else out.item()
 
 
@@ -129,11 +113,7 @@ def total_loss(
     """
     if not isinstance(pred, Tensor):
         raise ContractError("total_loss needs a Tensor prediction to backpropagate through")
-    position = (
-        mpjpe(pred, truth)
-        if weights.loss_norm == "l2"
-        else mean_squared_joint_error(pred, truth)
-    )
+    position = mpjpe(pred, truth)
     bone = bone_loss(pred, truth, topo)
     total = position + weights.lambda_bone * bone
 

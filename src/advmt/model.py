@@ -14,18 +14,16 @@ discriminator, evaluation, CSV I/O) is in absolute millimetres; only the
 encoder works in a normalized frame. A window is made root-relative by
 subtracting the root joint (joint 0) of its last observed frame from every
 joint of every frame, then standardized per coordinate with the mean and
-std of root-relative train windows. With ``predict_delta`` (the default)
-the head emits the next frame's displacement from the last observed frame
-in units of the per-coordinate root-mean-square of train frame-to-frame
-displacements, so the prediction is the last frame plus head output times
-that scale; a zeroed head returns the last observed frame exactly. The
-scale is an RMS, not a std, because the displacement is not
-mean-centred: a root walking at constant velocity has zero displacement
-std but a 36 mm/frame RMS. Without ``predict_delta`` the head emits a
-standardized root-relative position that is mapped back to mm.
-The statistics are identity (zero mean, unit std) until
-``set_frame_statistics``; ``training.fit`` computes them from the train
-split with ``compute_frame_statistics`` and checkpoints store them after the
+std of root-relative train windows. The head emits the next frame's
+displacement from the last observed frame in units of the per-coordinate
+root-mean-square of train frame-to-frame displacements, so the prediction
+is the last frame plus head output times that scale; a zeroed head
+returns the last observed frame exactly. The scale is an RMS, not a std,
+because the displacement is not mean-centred: a root walking at constant
+velocity has zero displacement std but a 36 mm/frame RMS. The statistics
+are identity (zero mean, unit std) until ``set_frame_statistics``;
+``training.fit`` computes them from the train split with
+``compute_frame_statistics`` and checkpoints store them after the
 parameters.
 """
 
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 import numpy as np
 
@@ -51,7 +49,7 @@ class EncoderConfig:
     model_dim: int = 64
     ff_dim: int = 128
     history_len: int = 50
-    predict_delta: bool = True
+    RETIRED: ClassVar[dict] = {"predict_delta": True}
 
     def __post_init__(self):
         for name in ("input_dim", "num_layers", "num_heads", "model_dim", "ff_dim", "history_len"):
@@ -248,10 +246,7 @@ class EncoderModel:
         for layer in self.layers:
             h = layer(h, collect=collect_attention)
         last = h[..., -1:, :]  # keep rank for the head projection
-        out = self.head(last)[..., 0, :]
-        if cfg.predict_delta:
-            return last_frame[..., 0, :] + out * self.delta_scale
-        return out * self.pose_std + offset[..., 0, :]
+        return last_frame[..., 0, :] + self.head(last)[..., 0, :] * self.delta_scale
 
 
 def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderModel:
@@ -305,14 +300,14 @@ def save_checkpoint(model: EncoderModel, path):
 
 
 def load_checkpoint(path) -> EncoderModel:
-    version, config, flat = checkpoint.load(path, "encoder")
+    version, config, flat = checkpoint.load(path, "encoder", EncoderConfig)
     if version < 2:
         raise CheckpointError(
             f"{path}: version {version} encoder checkpoint holds no normalization "
             "statistics; it was trained on raw millimetre windows and cannot run in "
             "the root-relative standardized frame, so retrain it"
         )
-    model = EncoderModel(EncoderConfig(**config), rng=None)
+    model = EncoderModel(config, rng=None)
     stats = model.frame_statistics()
     checkpoint.fill_params(path, model.parameters() + stats, flat)
     try:

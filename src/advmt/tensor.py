@@ -247,11 +247,6 @@ def mul(a, b) -> Tensor:
     return Tensor._result(a.data * b.data, (a, b), vjp)
 
 
-def scale(a, factor: float) -> Tensor:
-    """Multiply by a python scalar."""
-    return mul(a, float(factor))
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0  # tie at exactly 0 passes zero gradient

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import ClassVar, List, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import discriminator as disc_mod
 from . import model as model_mod
 from .data import CorpusSet
 from .discriminator import DiscriminatorConfig, DiscriminatorModel, discriminator_loss
-from .errors import ConfigurationError, ContractError, DivergenceError, HorizonError
+from .errors import ConfigurationError, ContractError, DivergenceError, HorizonError, build_config
 from .evaluation import DEFAULT_HORIZONS_MS, _batched_rollout, collect_windows, mpjpe_at_horizon
 from .losses import LossWeights, boundary_deltas, total_loss
 from .model import EncoderConfig, EncoderModel, rollout_graph
@@ -47,10 +47,11 @@ class TrainConfig:
     predict_frames: int = 25
     window_stride: int = 5
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
+    RETIRED: ClassVar[dict] = {"rollout_mode": "full_autoregressive"}
 
     def __post_init__(self):
         if isinstance(self.weights, dict):
-            self.weights = LossWeights(**self.weights)
+            self.weights = build_config(LossWeights, self.weights, "weights")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -70,16 +71,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        raw = dict(raw)
-        # configs written before the rollout_mode option was removed carry its one legal value
-        rollout_mode = raw.pop("rollout_mode", "full_autoregressive")
-        if rollout_mode != "full_autoregressive":
-            raise ConfigurationError(f"unsupported rollout_mode {rollout_mode!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigurationError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return build_config(cls, raw, "train config")
 
 
 class Adam:
@@ -156,13 +148,7 @@ class TrainLog:
 class Trainer:
     """Owns both models and their optimizer state for one run."""
 
-    def __init__(self, encoder: EncoderModel, disc: Optional[DiscriminatorModel],
-                 topo, cfg: TrainConfig):
-        if disc is None and (cfg.weights.lambda_adv > 0 or cfg.disc_steps_per_gen_step > 0):
-            raise ConfigurationError(
-                "adversarial training requires a discriminator "
-                "(lambda_adv > 0 or disc_steps_per_gen_step > 0)"
-            )
+    def __init__(self, encoder: EncoderModel, disc: DiscriminatorModel, topo, cfg: TrainConfig):
         self.encoder = encoder
         self.disc = disc
         self.topo = topo
@@ -170,10 +156,8 @@ class Trainer:
         self.enc_opt = Adam(
             encoder.parameters(), cfg.lr_encoder, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
         )
-        self.disc_opt = (
-            Adam(disc.parameters(), cfg.lr_disc, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
-            if disc is not None
-            else None
+        self.disc_opt = Adam(
+            disc.parameters(), cfg.lr_disc, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
         )
 
     def _gather(self, batch):
@@ -206,7 +190,7 @@ class Trainer:
         pred_poses = preds.reshape((b, l, n, 3))
 
         disc_value = 0.0
-        if self.disc is not None and cfg.disc_steps_per_gen_step > 0:
+        if cfg.disc_steps_per_gen_step > 0:
             real_deltas = boundary_deltas(targets, inputs[:, -1])
             fake_deltas = boundary_deltas(pred_poses.detach(), inputs[:, -1])
             for _ in range(cfg.disc_steps_per_gen_step):

@@ -67,6 +67,12 @@ class TestGenerate:
         assert not (out / "manifest.json").exists()
         assert not (out / "train").exists()
 
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"n_trian": 3}))
+        assert run("generate", "--config", str(cfg), "--out", str(tmp_path / "c")) == 2
+        assert "corpus config: unknown keys ['n_trian']" in capsys.readouterr().err
+
     def test_validate_pipeline(self, corpus_dir):
         assert run("validate", "--data", str(corpus_dir / "manifest.json")) == 0
 
@@ -122,6 +128,18 @@ class TestTrain:
         assert run("train", "--config", str(cfg),
                    "--data", str(corpus_dir / "manifest.json"),
                    "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize("section,key", [
+        ("weights", "lambda_bnoe"), ("encoder", "layers"), ("discriminator", "hidden"),
+    ])
+    def test_unknown_section_key_exits_2(self, tmp_path, corpus_dir, capsys, section, key):
+        sections = {"weights": {}, **TRAIN_CFG}
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({**sections, section: {**sections[section], key: 2}}))
+        assert run("train", "--config", str(cfg),
+                   "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(tmp_path / "x")) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exits_3(self, tmp_path, corpus_dir):

@@ -1,0 +1,40 @@
+import inspect
+
+import numpy as np
+
+import advmt.tensor as tensor_mod
+from advmt import gradcheck
+
+
+def graph_ops():
+    """Every function in ``advmt.tensor`` that builds a node through ``Tensor._result``."""
+    return sorted(
+        name for name, fn in inspect.getmembers(tensor_mod, inspect.isfunction)
+        if fn.__module__ == tensor_mod.__name__ and "Tensor._result" in inspect.getsource(fn)
+    )
+
+
+def test_every_differentiable_op_has_an_entry():
+    ops = graph_ops()
+    assert "take" in ops and "attention" in ops  # the source scan finds the ops
+    entries = {name for name, _, _ in gradcheck._SUITE}
+    assert [op for op in ops if op not in entries] == []
+
+
+def test_discriminator_backward_is_checked(monkeypatch):
+    # A relu rule off by 0.1 % inside the discriminator must fail the
+    # generator_adv entry, which sees the discriminator only through its
+    # gradient into the fake velocities.
+    real_relu = tensor_mod.relu
+
+    def skewed_relu(a):
+        out = real_relu(a)
+        if out._vjp is not None:
+            orig = out._vjp
+            out._vjp = lambda g: [(p, 1.001 * c) for p, c in orig(g)]
+        return out
+
+    [(tol, runner)] = [(t, r) for name, t, r in gradcheck._SUITE if name == "generator_adv"]
+    assert runner(np.random.default_rng(2024), 10) < tol
+    monkeypatch.setattr(tensor_mod, "relu", skewed_relu)
+    assert runner(np.random.default_rng(2024), 10) > tol

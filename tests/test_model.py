@@ -100,7 +100,7 @@ class TestPredictNext:
             predict_next(tiny_model, rng.standard_normal((7, 2, 3)))
 
     def test_predict_delta_adds_last_frame(self, rng):
-        model = init_encoder(tiny_config(predict_delta=True), seed=3)
+        model = init_encoder(tiny_config(), seed=3)
         set_random_statistics(model, rng)
         for p in model.head.params():
             p.data[:] = 0.0
@@ -108,17 +108,6 @@ class TestPredictNext:
         history = rng.standard_normal((8, 2, 3))
         out = predict_next(model, history)
         assert np.array_equal(out.joints, history[-1])
-
-    def test_position_head_maps_back_to_mm(self, rng):
-        model = init_encoder(tiny_config(predict_delta=False), seed=3)
-        mean, _, _ = set_random_statistics(model, rng)
-        for p in model.head.params():
-            p.data[:] = 0.0
-        # a zeroed position head predicts the train mean, offset by the last root
-        history = rng.standard_normal((8, 2, 3)) * 100
-        out = predict_next(model, history)
-        expected = mean.reshape(2, 3) + history[-1, 0]
-        assert np.abs(out.joints - expected).max() < 1e-12
 
     def test_root_translation_equivariant(self, tiny_model, rng):
         set_random_statistics(tiny_model, rng)
@@ -261,4 +250,43 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 16])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def _save_with_config(self, model, path, **changes):
+        """Save ``model`` with its config block edited; a None value drops the key."""
+        from dataclasses import asdict
+
+        from advmt import checkpoint
+
+        config = {**asdict(model.config), **changes}
+        config = {k: v for k, v in config.items() if v is not None}
+        checkpoint.save(path, "encoder", config, model.parameters() + model.frame_statistics())
+
+    def test_stray_config_key_refused(self, tiny_model, tmp_path):
+        path = tmp_path / "stray.ckpt"
+        self._save_with_config(tiny_model, path, num_layerz=2)
+        with pytest.raises(CheckpointError, match=r"stray\.ckpt: .*num_layerz"):
+            load_checkpoint(path)
+
+    def test_missing_config_key_refused(self, tiny_model, tmp_path):
+        path = tmp_path / "missing.ckpt"
+        self._save_with_config(tiny_model, path, input_dim=None)
+        with pytest.raises(CheckpointError, match=r"missing\.ckpt: .*missing .*input_dim"):
+            load_checkpoint(path)
+
+    def test_retired_predict_delta_true_loads(self, tiny_model, tmp_path, rng):
+        set_random_statistics(tiny_model, rng)
+        path = tmp_path / "old.ckpt"
+        self._save_with_config(tiny_model, path, predict_delta=True)
+        loaded = load_checkpoint(path)
+        assert loaded.config == tiny_model.config
+        history = rng.standard_normal((8, 2, 3))
+        assert np.array_equal(predict_next(loaded, history).joints,
+                              predict_next(tiny_model, history).joints)
+
+    @pytest.mark.parametrize("value", [False, 1])
+    def test_retired_predict_delta_other_value_refused(self, tiny_model, tmp_path, value):
+        path = tmp_path / "position.ckpt"
+        self._save_with_config(tiny_model, path, predict_delta=value)
+        with pytest.raises(CheckpointError, match=rf"position\.ckpt: .*predict_delta {value}"):
             load_checkpoint(path)

@@ -54,6 +54,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="rollout_mode"):
             TrainConfig.from_dict({"rollout_mode": "teacher_forcing"})
 
+    def test_retired_loss_norm_l2_loads(self):
+        weights = {"lambda_adv": 0.2, "loss_norm": "l2"}
+        assert TrainConfig(weights=weights).weights == LossWeights(lambda_adv=0.2)
+        assert weights["loss_norm"] == "l2"  # the caller's dict is left alone
+
+    def test_retired_loss_norm_l2_squared_refused(self):
+        with pytest.raises(ConfigurationError, match="loss_norm 'l2_squared'"):
+            TrainConfig.from_dict({"weights": {"loss_norm": "l2_squared"}})
+
 
 class TestAdam:
     def test_minimizes_quadratic(self):
