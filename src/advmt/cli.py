@@ -39,6 +39,7 @@ from .evaluation import (
     render_pose_strip,
 )
 from .gradcheck import run_suite
+from .losses import LossWeights
 from .skeleton import MotionSequence, SkeletonTopology, bone_lengths
 from .training import TrainConfig, fit
 
@@ -62,11 +63,14 @@ def _build_id() -> str:
 def _load_json(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise AdvmtError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise AdvmtError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise AdvmtError(f"config file {path}: expected a JSON object, got {type(raw).__name__}")
+    return raw
 
 
 def _resolve_seed(flag_seed, cfg_seed):
@@ -121,11 +125,9 @@ class RunDirectory:
             fh.write("\n")
 
 
-def _override(cfg: dict, args, mapping):
-    for flag, key in mapping.items():
-        value = getattr(args, flag)
-        if value is not None:
-            cfg[key] = value
+def _flags(args, mapping) -> dict:
+    values = {key: getattr(args, flag) for flag, key in mapping.items()}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 # -- generate -------------------------------------------------------------------
@@ -135,10 +137,10 @@ def cmd_generate(args) -> int:
     raw = _load_json(args.config) if args.config else {}
     topo_path = raw.pop("topology", None)
     seed = _resolve_seed(args.seed, raw.pop("seed", None))
-    _override(raw, args, {
+    raw.update(_flags(args, {
         "n_train": "n_train", "n_test": "n_test", "frames": "n_frames", "fps": "fps",
         "amplitude_scale": "amplitude_scale",
-    })
+    }))
     if args.styles is not None:
         raw["styles"] = tuple(args.styles.split(","))
     cfg = build_config(CorpusConfig, raw, "corpus config")
@@ -178,10 +180,8 @@ def cmd_validate(args) -> int:
         if corpus is None:
             continue
         for i, seq in enumerate(corpus.sequences):
-            ref = bone_lengths(seq.frames[0], topo)
-            worst = 0.0
-            for f in range(1, seq.n_frames):
-                worst = max(worst, float(np.abs(bone_lengths(seq.frames[f], topo) - ref).max()))
+            lengths = bone_lengths(seq.frames, topo)
+            worst = float(np.abs(lengths[1:] - lengths[0]).max(initial=0.0))
             if worst > args.tol:
                 problems.append(
                     f"{corpus.split}[{i}]: bone length drift {worst:.3e} mm exceeds {args.tol:.1e}"
@@ -203,34 +203,31 @@ def cmd_train(args) -> int:
     raw = _load_json(args.config) if args.config else {}
     enc_raw = raw.pop("encoder", None)
     disc_raw = raw.pop("discriminator", None)
-    weights_raw = dict(raw.pop("weights", {}))
-    _override(weights_raw, args, {"lambda_bone": "lambda_bone", "lambda_adv": "lambda_adv"})
-    seed = _resolve_seed(args.seed, raw.pop("seed", None))
-    _override(raw, args, {
+    lambdas = _flags(args, {"lambda_bone": "lambda_bone", "lambda_adv": "lambda_adv"})
+    raw["weights"] = build_config(LossWeights, raw.pop("weights", {}), "weights", overrides=lambdas)
+    raw["seed"] = _resolve_seed(args.seed, raw.pop("seed", None))
+    raw.update(_flags(args, {
         "epochs": "epochs", "batch_size": "batch_size", "lr_encoder": "lr_encoder",
         "lr_disc": "lr_disc", "disc_steps": "disc_steps_per_gen_step",
         "grad_clip": "grad_clip_norm", "history_frames": "history_frames",
         "predict_frames": "predict_frames", "stride": "window_stride",
         "checkpoint_every": "checkpoint_every",
-    })
-    raw["weights"] = weights_raw
-    raw["seed"] = seed
+    }))
     cfg = TrainConfig.from_dict(raw)
 
     corpus_set = load_corpus(args.data)
     flat = 3 * corpus_set.topology.joint_count
     enc_cfg = None
     if enc_raw is not None:
-        enc_raw.setdefault("input_dim", flat)
-        enc_raw.setdefault("history_len", cfg.history_frames)
-        enc_cfg = build_config(model_mod.EncoderConfig, enc_raw, "encoder config")
+        enc_cfg = build_config(model_mod.EncoderConfig, enc_raw, "encoder config",
+                               defaults={"input_dim": flat, "history_len": cfg.history_frames})
     disc_cfg = None
     if disc_raw is not None:
-        disc_raw.setdefault("input_dim", flat)
-        disc_cfg = build_config(disc_mod.DiscriminatorConfig, disc_raw, "discriminator config")
+        disc_cfg = build_config(disc_mod.DiscriminatorConfig, disc_raw, "discriminator config",
+                                defaults={"input_dim": flat})
 
     with RunDirectory(args.out) as run:
-        run.write_manifest("train", cfg.to_dict(), seed, args.config)
+        run.write_manifest("train", cfg.to_dict(), cfg.seed, args.config)
         try:
             _, _, log = fit(corpus_set, cfg, out_dir=args.out,
                             encoder_config=enc_cfg, disc_config=disc_cfg)

@@ -142,10 +142,7 @@ def generate_gait(
     velocity = np.asarray(spec["root_velocity"], dtype=np.float64)
     root_path = np.asarray(_ROOT_START) + np.outer(t, velocity)
 
-    frames = np.empty((n_frames, n, 3))
-    for f in range(n_frames):
-        pose = forward_kinematics(root_path[f], offsets, angles[f], topo, axes=axes)
-        frames[f] = pose.joints
+    frames = forward_kinematics(root_path, offsets, angles, topo, axes=axes)
     return MotionSequence(frames=frames, fps=fps, action_label=style)
 
 

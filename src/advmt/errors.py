@@ -55,15 +55,19 @@ class DivergenceError(AdvmtError, RuntimeError):
     """Training produced a non-finite loss; message carries epoch and step."""
 
 
-def build_config(cls, raw: dict, where: str):
-    """Construct the config dataclass ``cls`` from a copy of ``raw``.
+def build_config(cls, raw: dict, where: str, defaults: dict = None, overrides: dict = None):
+    """Construct the config dataclass ``cls`` from a copy of the dict ``raw``,
+    with ``defaults`` under it and ``overrides`` over it.
 
-    Each key of ``cls.RETIRED`` (key -> the one value that still loads)
-    is dropped when it carries that value and refused otherwise; unknown
-    keys and missing required fields are refused by name. ``where`` opens
-    every message. The caller's dict is never changed.
+    A ``raw`` that is not a dict (a JSON object) is refused. Each key of
+    ``cls.RETIRED`` (key -> the one value that still loads) is dropped when
+    it carries that value and refused otherwise; unknown keys and missing
+    required fields are refused by name. ``where`` opens every message.
+    The caller's dicts are never changed.
     """
-    raw = dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+    raw = {**(defaults or {}), **raw, **(overrides or {})}
     for key, kept in getattr(cls, "RETIRED", {}).items():
         value = raw.pop(key, kept)
         if type(value) is not type(kept) or value != kept:  # JSON 1 is not true

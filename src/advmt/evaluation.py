@@ -60,11 +60,11 @@ def mpjpe_at_horizon(pred, truth, frame_idx: int) -> float:
 
 
 def zero_velocity_baseline(history, l_frames: int) -> np.ndarray:
-    """Repeat the last observed frame for every future frame."""
+    """Repeat the last observed frame for every future frame: (..., T, N, 3) -> (..., L, N, 3)."""
     history = np.asarray(history, dtype=np.float64)
-    if history.shape[0] < 1:
-        raise ConfigurationError("history must contain at least one frame")
-    return np.repeat(history[-1:], l_frames, axis=0)
+    if history.ndim < 3 or history.shape[-3] < 1:
+        raise ConfigurationError(f"history must be (..., T >= 1, N, 3), got {history.shape}")
+    return np.repeat(history[..., -1:, :, :], l_frames, axis=-3)
 
 
 def mean_velocity_magnitude(preds, frame_lo: int = None, frame_hi: int = None) -> float:
@@ -208,9 +208,7 @@ def evaluate(
     truths = np.stack([s.target[:l_frames] for s in samples])
     actions = [s.action or "motion" for s in samples]
 
-    systems = {}
-    baseline = np.repeat(histories[:, -1:], l_frames, axis=1)
-    systems["zero_velocity"] = baseline
+    systems = {"zero_velocity": zero_velocity_baseline(histories, l_frames)}
     if model is not None:
         systems["model"] = _batched_rollout(model, histories, l_frames)
 

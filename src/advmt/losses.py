@@ -122,8 +122,7 @@ def total_loss(
             raise ContractError("lambda_adv > 0 requires a discriminator")
         if last_observed is None:
             raise ContractError("lambda_adv > 0 requires the last observed pose")
-        deltas = boundary_deltas(pred, last_observed)
-        adv = generator_adversarial_loss(disc, deltas.reshape((-1, disc.config.input_dim)))
+        adv = generator_adversarial_loss(disc, boundary_deltas(pred, last_observed))
         total = total + weights.lambda_adv * adv
         adv_value = adv.item()
     else:

@@ -164,20 +164,11 @@ class EncoderLayer:
         self.ff1 = Linear(d, cfg.ff_dim, rng)
         self.ff2 = Linear(cfg.ff_dim, d, rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        # (..., T, D) -> (..., H, T, dk)
-        shape = x.shape[:-1] + (self.num_heads, self.head_dim)
-        return x.reshape(shape).swapaxes(-3, -2)
-
     def attention(self, x: Tensor, collect=None) -> Tensor:
         h = self.ln1(x)
-        q = self._split_heads(self.wq(h))
-        k = self._split_heads(self.wk(h))
-        v = self._split_heads(self.wv(h))
-        ctx = tensor.attention(q, k, v, 1.0 / math.sqrt(self.head_dim), collect=collect)
-        merged = ctx.swapaxes(-3, -2)
-        merged = merged.reshape(merged.shape[:-2] + (self.num_heads * self.head_dim,))
-        return self.wo(merged)
+        ctx = tensor.attention(self.wq(h), self.wk(h), self.wv(h), self.num_heads,
+                               1.0 / math.sqrt(self.head_dim), collect=collect)
+        return self.wo(ctx)
 
     def __call__(self, x: Tensor, collect=None) -> Tensor:
         x = x + self.attention(x, collect=collect)

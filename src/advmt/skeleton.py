@@ -131,33 +131,28 @@ class MotionSequence:
         return Pose(self.frames[t])
 
 
-def _joints_of(pose) -> np.ndarray:
-    if isinstance(pose, Pose):
-        return pose.joints
-    return np.asarray(pose, dtype=np.float64)
-
-
 def bone_lengths(pose, topo: SkeletonTopology) -> np.ndarray:
-    """Euclidean length of each bone, order matching ``topo.bones``."""
-    joints = _joints_of(pose)
-    if joints.shape[0] != topo.joint_count:
+    """(..., N, 3) joints -> (..., N-1) bone lengths, order matching ``topo.bones``."""
+    joints = pose.joints if isinstance(pose, Pose) else np.asarray(pose, dtype=np.float64)
+    if joints.shape[-2:] != (topo.joint_count, 3):
         raise TopologyError(
-            f"pose has {joints.shape[0]} joints but topology expects {topo.joint_count}"
+            f"joints {joints.shape} do not match (..., {topo.joint_count}, 3) for the topology"
         )
     bones = topo.bones
     parents = [p for p, _ in bones]
     children = [c for _, c in bones]
-    return np.linalg.norm(joints[children] - joints[parents], axis=-1)
+    return np.linalg.norm(joints[..., children, :] - joints[..., parents, :], axis=-1)
 
 
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """3x3 rotation matrix for ``angle`` radians about ``axis`` (Rodrigues)."""
+def rotation_about_axis(axis, angle) -> np.ndarray:
+    """(..., 3, 3) rotation matrices for (...) ``angle`` radians about ``axis`` (Rodrigues)."""
     k = np.asarray(axis, dtype=np.float64)
     norm = np.linalg.norm(k)
     if norm == 0:
         raise TopologyError("rotation axis must be nonzero")
     k = k / norm
     kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     return np.eye(3) * np.cos(angle) + np.sin(angle) * kx + (1 - np.cos(angle)) * np.outer(k, k)
 
 
@@ -167,22 +162,25 @@ def forward_kinematics(
     joint_rotations,
     topo: SkeletonTopology,
     axes=None,
-) -> Pose:
-    """Compose joint positions root-to-leaf.
+) -> np.ndarray:
+    """Compose joint positions root-to-leaf: (..., 3) roots and (..., N)
+    rotations -> (..., N, 3) joints, one pose per leading index.
 
     ``bone_offsets[b]`` is the child's offset in its parent's frame for bone
-    ``topo.bones[b]``; ``joint_rotations[i]`` rotates joint i's subtree about
-    ``axes[i]`` (default z). Rotations are rigid, so output bone lengths equal
-    the offset norms exactly.
+    ``topo.bones[b]``; ``joint_rotations[..., i]`` rotates joint i's subtree
+    about ``axes[i]`` (default z). Rotations are rigid, so output bone
+    lengths equal the offset norms exactly.
     """
     n = topo.joint_count
-    root = np.asarray(root_pos, dtype=np.float64).reshape(3)
+    root = np.asarray(root_pos, dtype=np.float64)
     offsets = np.asarray(bone_offsets, dtype=np.float64)
-    angles = np.asarray(joint_rotations, dtype=np.float64).reshape(-1)
+    angles = np.asarray(joint_rotations, dtype=np.float64)
     if offsets.shape != (n - 1, 3):
         raise TopologyError(f"expected {(n - 1, 3)} bone offsets, got {offsets.shape}")
-    if angles.shape != (n,):
-        raise TopologyError(f"expected {n} joint rotations, got {angles.shape}")
+    if angles.shape[-1:] != (n,):
+        raise TopologyError(f"expected (..., {n}) joint rotations, got {angles.shape}")
+    if root.shape != angles.shape[:-1] + (3,):
+        raise TopologyError(f"roots {root.shape} do not match rotations {angles.shape}")
     if axes is None:
         axes = np.tile(np.array([0.0, 0.0, 1.0]), (n, 1))
     else:
@@ -190,14 +188,14 @@ def forward_kinematics(
         if axes.shape != (n, 3):
             raise TopologyError(f"expected {(n, 3)} rotation axes, got {axes.shape}")
 
-    positions = np.zeros((n, 3))
+    positions = np.zeros(root.shape[:-1] + (n, 3))
     frames = [None] * n  # accumulated rotation per joint
-    positions[0] = root
-    frames[0] = rotation_about_axis(axes[0], angles[0])
+    positions[..., 0, :] = root
+    frames[0] = rotation_about_axis(axes[0], angles[..., 0])
     for b, (p, c) in enumerate(topo.bones):
-        positions[c] = positions[p] + frames[p] @ offsets[b]
-        frames[c] = frames[p] @ rotation_about_axis(axes[c], angles[c])
-    return Pose(positions)
+        positions[..., c, :] = positions[..., p, :] + frames[p] @ offsets[b]
+        frames[c] = frames[p] @ rotation_about_axis(axes[c], angles[..., c])
+    return positions
 
 
 def temporal_difference(seq) -> np.ndarray:

@@ -306,21 +306,32 @@ def linear(x, W, b) -> Tensor:
     return Tensor._result(product, (x, W, b), vjp)
 
 
-def attention(q, k, v, scale: float, collect=None) -> Tensor:
-    """``softmax(q @ kᵀ · scale) @ v`` over the last axis, as one node.
+def attention(q, k, v, heads: int, scale: float, collect=None) -> Tensor:
+    """Per-head ``softmax(q @ kᵀ · scale) @ v`` on (..., T, D) projections, as one node.
 
-    The scores become the probabilities in place, so the node keeps one
-    (..., T, T) buffer and backward reads only q, k, v and that buffer.
-    The numpy expressions are those of the ``matmul``, scalar multiply,
-    softmax and ``matmul`` chain on the same views, so values and
-    gradients equal that chain's bit for bit. ``collect``, when given,
-    receives the probabilities.
+    The node owns the head layout: it splits q, k and v into (..., H, T, D/H)
+    views and merges the context back to (..., T, D), and so does its vjp. It
+    keeps one (..., H, T, T) buffer, the probabilities, which ``collect`` (a
+    list) receives when given. The numpy expressions are those of the
+    reshape/swapaxes, ``matmul``, softmax, ``matmul`` chain kept as the oracle
+    in the tests, on the same views, so values and gradients equal it bit for bit.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    k_t = k.data.swapaxes(-1, -2)
-    _check_matmul(q.shape, k_t.shape, "attention")
-    _check_matmul(q.shape[:-1] + k_t.shape[-1:], v.shape, "attention")
-    probs = q.data @ k_t
+    if q.shape != k.shape or q.shape != v.shape:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} differ")
+    if heads < 1 or q.ndim < 2 or q.shape[-1] % heads:
+        raise DimensionError(f"attention: shape {q.shape} does not split into {heads} heads")
+    shape = q.shape
+    split = shape[:-1] + (heads, shape[-1] // heads)
+
+    def heads_of(x):  # (..., T, D) -> (..., H, T, D/H)
+        return x.reshape(split).swapaxes(-3, -2)
+
+    def merged(x):  # (..., H, T, D/H) -> (..., T, D)
+        return x.swapaxes(-3, -2).reshape(shape)
+
+    qh, kh, vh = heads_of(q.data), heads_of(k.data), heads_of(v.data)
+    probs = qh @ kh.swapaxes(-1, -2)
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
@@ -329,15 +340,16 @@ def attention(q, k, v, scale: float, collect=None) -> Tensor:
         collect.append(probs)
 
     def vjp(g):
-        gprobs = _unbroadcast(g @ v.data.swapaxes(-1, -2), probs.shape)
-        gv = _unbroadcast(probs.swapaxes(-1, -2) @ g, v.shape)
+        g = heads_of(g)
+        gprobs = g @ vh.swapaxes(-1, -2)
+        gv = probs.swapaxes(-1, -2) @ g
         gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
         gscores *= scale
-        gq = _unbroadcast(gscores @ k_t.swapaxes(-1, -2), q.shape)
-        gk = _unbroadcast(q.data.swapaxes(-1, -2) @ gscores, k_t.shape).swapaxes(-1, -2)
-        return ((q, gq), (k, gk), (v, gv))
+        gq = gscores @ kh
+        gk = (qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2)
+        return ((q, merged(gq)), (k, merged(gk)), (v, merged(gv)))
 
-    return Tensor._result(probs @ v.data, (q, k, v), vjp)
+    return Tensor._result(merged(probs @ vh), (q, k, v), vjp)
 
 
 # -- layer norm ----------------------------------------------------------------

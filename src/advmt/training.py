@@ -36,9 +36,6 @@ class TrainConfig:
     batch_size: int = 8
     lr_encoder: float = 3e-3
     lr_disc: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     disc_steps_per_gen_step: int = 1
     grad_clip_norm: float = 1.0
     seed: int = 0
@@ -47,10 +44,15 @@ class TrainConfig:
     predict_frames: int = 25
     window_stride: int = 5
     checkpoint_every: int = 0  # epochs between checkpoints; 0 = final only
-    RETIRED: ClassVar[dict] = {"rollout_mode": "full_autoregressive"}
+    RETIRED: ClassVar[dict] = {
+        "rollout_mode": "full_autoregressive",
+        "adam_beta1": 0.9,
+        "adam_beta2": 0.999,
+        "adam_eps": 1e-8,
+    }
 
     def __post_init__(self):
-        if isinstance(self.weights, dict):
+        if not isinstance(self.weights, LossWeights):
             self.weights = build_config(LossWeights, self.weights, "weights")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
@@ -153,12 +155,8 @@ class Trainer:
         self.disc = disc
         self.topo = topo
         self.cfg = cfg
-        self.enc_opt = Adam(
-            encoder.parameters(), cfg.lr_encoder, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-        )
-        self.disc_opt = Adam(
-            disc.parameters(), cfg.lr_disc, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-        )
+        self.enc_opt = Adam(encoder.parameters(), cfg.lr_encoder)
+        self.disc_opt = Adam(disc.parameters(), cfg.lr_disc)
 
     def _gather(self, batch):
         if not batch:

@@ -72,6 +72,9 @@ class TestGenerate:
         cfg.write_text(json.dumps({"n_trian": 3}))
         assert run("generate", "--config", str(cfg), "--out", str(tmp_path / "c")) == 2
         assert "corpus config: unknown keys ['n_trian']" in capsys.readouterr().err
+        cfg.write_text(json.dumps([1, 2]))  # valid JSON, but not an object
+        assert run("generate", "--config", str(cfg), "--out", str(tmp_path / "c")) == 2
+        assert f"{cfg}: expected a JSON object, got list" in capsys.readouterr().err
 
     def test_validate_pipeline(self, corpus_dir):
         assert run("validate", "--data", str(corpus_dir / "manifest.json")) == 0
@@ -122,12 +125,17 @@ class TestTrain:
         assert manifest["config"]["weights"]["lambda_bone"] == 0.25
         assert manifest["config"]["weights"]["lambda_adv"] == 0.0
 
-    def test_bad_config_exits_2(self, tmp_path, corpus_dir):
+    def test_bad_config_exits_2(self, tmp_path, corpus_dir, capsys):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({**TRAIN_CFG, "epochs": 0}))
         assert run("train", "--config", str(cfg),
                    "--data", str(corpus_dir / "manifest.json"),
                    "--out", str(tmp_path / "x")) == 2
+        cfg.write_text(json.dumps([1, 2]))  # valid JSON, but not an object
+        assert run("train", "--config", str(cfg),
+                   "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(tmp_path / "x")) == 2
+        assert f"{cfg}: expected a JSON object, got list" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key", [
         ("weights", "lambda_bnoe"), ("encoder", "layers"), ("discriminator", "hidden"),
@@ -140,6 +148,15 @@ class TestTrain:
                    "--data", str(corpus_dir / "manifest.json"),
                    "--out", str(tmp_path / "x")) == 2
         assert f"unknown keys ['{key}']" in capsys.readouterr().err
+        # a section that is valid JSON but not an object
+        value, where = {"weights": ([1], "weights"), "encoder": (3, "encoder config"),
+                        "discriminator": ("x", "discriminator config")}[section]
+        cfg.write_text(json.dumps({**sections, section: value}))
+        assert run("train", "--config", str(cfg),
+                   "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: expected a JSON object, got {type(value).__name__}" in err
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_exits_3(self, tmp_path, corpus_dir):

@@ -91,6 +91,17 @@ class TestZeroVelocityBaseline:
         pred = zero_velocity_baseline(rng.standard_normal((5, 2, 3)), 7)
         assert np.array_equal(temporal_difference(pred), np.zeros((6, 2, 3)))
 
+    def test_batch_matches_per_window(self, rng):
+        histories = rng.standard_normal((4, 5, 2, 3))
+        pred = zero_velocity_baseline(histories, 7)
+        assert pred.shape == (4, 7, 2, 3)
+        for h, p in zip(histories, pred):
+            assert np.array_equal(p, zero_velocity_baseline(h, 7))
+
+    def test_rejects_pose_without_time_axis(self):
+        with pytest.raises(ConfigurationError, match=r"\(2, 3\)"):
+            zero_velocity_baseline(np.zeros((2, 3)), 7)
+
 
 class TestMeanVelocity:
     def test_constant_prediction_is_zero(self):

@@ -68,15 +68,13 @@ class TestBoneLengths:
 class TestForwardKinematics:
     def test_identity_rotations_cumulative_offsets(self, chain3):
         offsets = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-        pose = forward_kinematics([0, 0, 0], offsets, np.zeros(3), chain3)
-        assert np.allclose(pose.joints, [[0, 0, 0], [1, 0, 0], [1, 2, 0]], atol=1e-15)
+        joints = forward_kinematics([0, 0, 0], offsets, np.zeros(3), chain3)
+        assert np.allclose(joints, [[0, 0, 0], [1, 0, 0], [1, 2, 0]], atol=1e-15)
 
     def test_root_quarter_turn(self):
         topo = SkeletonTopology(joint_names=("root", "child"), parent=(None, 0))
-        pose = forward_kinematics(
-            [0, 0, 0], [[1.0, 0.0, 0.0]], [math.pi / 2, 0.0], topo
-        )
-        assert np.abs(pose.joints[1] - np.array([0.0, 1.0, 0.0])).max() < 1e-12
+        joints = forward_kinematics([0, 0, 0], [[1.0, 0.0, 0.0]], [math.pi / 2, 0.0], topo)
+        assert np.abs(joints[1] - np.array([0.0, 1.0, 0.0])).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rigidity(self, topo17, seed):
@@ -92,6 +90,31 @@ class TestForwardKinematics:
     def test_size_validation(self, chain3):
         with pytest.raises(TopologyError):
             forward_kinematics([0, 0, 0], np.zeros((5, 3)), np.zeros(3), chain3)
+        with pytest.raises(TopologyError, match=r"\(3,\).*\(4, 3\)"):
+            forward_kinematics([0, 0, 0], np.zeros((2, 3)), np.zeros((4, 3)), chain3)
+
+    def test_frames_in_one_call_match_per_frame_calls_bitwise(self, topo17, rng):
+        frames = 30
+        offsets = rng.uniform(-300, 300, size=(16, 3))
+        angles = rng.uniform(-math.pi, math.pi, size=(frames, 17))
+        roots = rng.uniform(-1000, 1000, size=(frames, 3))
+        axes = rng.standard_normal((17, 3))
+        joints = forward_kinematics(roots, offsets, angles, topo17, axes=axes)
+        per_frame = np.stack([
+            forward_kinematics(roots[f], offsets, angles[f], topo17, axes=axes)
+            for f in range(frames)
+        ])
+        assert joints.shape == (frames, 17, 3)
+        assert joints.tobytes() == per_frame.tobytes()
+        rotations = rotation_about_axis(axes[3], angles[:, 3])
+        assert rotations.tobytes() == np.stack(
+            [rotation_about_axis(axes[3], a) for a in angles[:, 3]]
+        ).tobytes()
+        lengths = bone_lengths(joints.reshape(5, 6, 17, 3), topo17)
+        assert lengths.shape == (5, 6, 16)
+        assert lengths.reshape(frames, 16).tobytes() == np.stack(
+            [bone_lengths(j, topo17) for j in joints]
+        ).tobytes()
 
     def test_rotation_matrix_orthonormal(self, rng):
         axis = rng.standard_normal(3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,11 +95,15 @@ class TestElementwise:
 
 
 def softmax_rows(x):
-    """Row softmax through ``attention``: identity keys and values with unit
-    scale make the scores ``x`` and the output the probabilities."""
+    """Row softmax through one-head ``attention``: identity keys and values
+    with unit scale make the scores ``x`` and the output the probabilities.
+    Queries, keys and values share a shape, so ``x`` (R, C) with R <= C is
+    padded with zero rows to (C, C) and the first R output rows are kept."""
     x = x if isinstance(x, Tensor) else Tensor(np.atleast_2d(x))
-    eye = Tensor(np.eye(x.shape[-1]))
-    return attention(x, eye, eye, 1.0)
+    rows, cols = x.shape
+    square = concat([x, Tensor(np.zeros((cols - rows, cols)))], axis=0)
+    eye = Tensor(np.eye(cols))
+    return attention(square, eye, eye, 1, 1.0)[:rows]
 
 
 class TestSoftmax:
@@ -109,10 +115,11 @@ class TestSoftmax:
 
     def test_large_inputs_stable(self):
         probs = []
-        attention(Tensor([[1000.0, 0.0]]), Tensor(np.eye(2)), Tensor(np.eye(2)), 1.0, collect=probs)
+        attention(Tensor([[1000.0, 0.0], [0.0, 0.0]]), Tensor(np.eye(2)), Tensor(np.eye(2)), 1,
+                  1.0, collect=probs)
         assert np.isfinite(probs[0]).all()
-        assert probs[0][0, 0] == pytest.approx(1.0)
-        assert probs[0][0, 1] == 0.0
+        assert probs[0][0, 0, 0] == pytest.approx(1.0)  # head 0, query row 0
+        assert probs[0][0, 0, 1] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rows_sum_to_one(self, seed):
@@ -169,23 +176,29 @@ class TestFusedOps:
         chain = values_and_grads(lambda xx, ww, bb: (xx @ ww + bb) * c, x, w, b)
         assert_bitwise(fused, chain)
 
-    @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (5, 4)])
+    @pytest.mark.parametrize("shape", [(2, 3, 5, 8), (5, 6)])
     def test_attention_matches_chain(self, rng, shape):
         q, k, v = (rng.standard_normal(shape) for _ in range(3))
         c = rng.standard_normal(shape)
         scale = 1.0 / np.sqrt(3.0)
+        heads = 2
 
         def chain_forward(qq, kk, vv):
-            return softmax_node(matmul(qq, kk.swapaxes(-1, -2)) * scale) @ vv * c
+            def split(x):  # (..., T, D) -> (..., H, T, D/H)
+                return x.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
 
-        fused = values_and_grads(lambda *t: attention(*t, scale) * c, q, k, v)
+            ctx = softmax_node(matmul(split(qq), split(kk).swapaxes(-1, -2)) * scale) @ split(vv)
+            return ctx.swapaxes(-3, -2).reshape(shape) * c
+
+        fused = values_and_grads(lambda *t: attention(*t, heads, scale) * c, q, k, v)
         assert_bitwise(fused, values_and_grads(chain_forward, q, k, v))
 
     def test_attention_collects_probabilities(self, rng):
-        q, k, v = (rng.standard_normal((2, 5, 3)) for _ in range(3))
+        q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))
         probs = []
-        attention(Tensor(q), Tensor(k), Tensor(v), 0.5, collect=probs)
-        assert probs[0].shape == (2, 5, 5)
+        out = attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.5, collect=probs)
+        assert out.shape == (2, 5, 6)
+        assert probs[0].shape == (2, 2, 5, 5)
         assert np.abs(probs[0].sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_shape_errors_name_shapes(self):
@@ -193,15 +206,21 @@ class TestFusedOps:
             linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
         with pytest.raises(DimensionError, match="bias"):
             linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((5, 2))), Tensor(np.zeros(3)))
-        q = Tensor(np.zeros((4, 3)))
-        with pytest.raises(DimensionError):
-            attention(q, Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 3))), 1.0)
-        with pytest.raises(DimensionError):
-            attention(q, Tensor(np.zeros((4, 3))), Tensor(np.zeros((5, 3))), 1.0)
+        q = Tensor(np.zeros((4, 6)))
+        with pytest.raises(DimensionError, match=r"\(4, 6\).*\(4, 3\).*\(4, 6\)"):
+            attention(q, Tensor(np.zeros((4, 3))), q, 1, 1.0)
+        with pytest.raises(DimensionError, match=r"\(4, 6\).*\(4, 6\).*\(5, 6\)"):
+            attention(q, q, Tensor(np.zeros((5, 6))), 1, 1.0)
+        for shape, heads in (((4, 6), 4), ((4, 6), 0), ((6,), 1)):
+            x = Tensor(np.zeros(shape))
+            with pytest.raises(DimensionError, match=rf"{re.escape(str(shape))}.*{heads} heads"):
+                attention(x, x, x, heads, 1.0)
 
     def test_encoder_window_graph_node_count(self):
         """Pinned so an unfused path coming back fails: the matmul-add linears
-        and the five-node attention chain gave this graph 119 nodes."""
+        and the five-node attention chain gave this graph 119 nodes, the fused
+        attention between eight split and merge nodes 95, and the attention
+        node that owns the head layout 79."""
         cfg = EncoderConfig(input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24,
                             history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
@@ -212,7 +231,7 @@ class TestFusedOps:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack_.append(parent)
-        assert len(seen) == 95
+        assert len(seen) == 79
 
 
 class TestLayerNorm:

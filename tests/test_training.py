@@ -54,6 +54,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="rollout_mode"):
             TrainConfig.from_dict({"rollout_mode": "teacher_forcing"})
 
+    @pytest.mark.parametrize("key, kept, other", [
+        ("adam_beta1", 0.9, 0.8), ("adam_beta2", 0.999, 0.99), ("adam_eps", 1e-8, 1e-6),
+    ])
+    def test_retired_adam_knobs(self, key, kept, other):
+        assert TrainConfig.from_dict({"epochs": 2, key: kept}) == TrainConfig(epochs=2)
+        with pytest.raises(ConfigurationError, match=f"unsupported {key} {other!r}"):
+            TrainConfig.from_dict({key: other})
+
     def test_retired_loss_norm_l2_loads(self):
         weights = {"lambda_adv": 0.2, "loss_norm": "l2"}
         assert TrainConfig(weights=weights).weights == LossWeights(lambda_adv=0.2)
