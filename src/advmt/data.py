@@ -203,15 +203,43 @@ def save_csv(seq: MotionSequence, path, joint_names: Sequence[str]):
         raise CsvParseError(
             f"{len(joint_names)} joint names for {seq.joint_count}-joint sequence"
         )
+    flat = seq.frames.reshape(seq.n_frames, -1)
+    row_format = ",".join(["%.17g"] * flat.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# fps={seq.fps} joints={','.join(joint_names)}\n")
-        flat = seq.frames.reshape(seq.n_frames, -1)
-        for row in flat:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(row_format % tuple(row) for row in flat.tolist())
+
+
+def _cell_error(path, r: int, line: str, width: int) -> CsvParseError:
+    """The error for the first cell of data row ``r`` that is not a finite
+    number (the row must have one)."""
+    cells = line.split(",")
+    offset = len(cells) - width
+    for c, cell in enumerate(cells[offset:], start=1 + offset):
+        try:
+            value = float(cell)
+        except ValueError:
+            return CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not a number")
+        if not math.isfinite(value):
+            return CsvParseError(f"{path}: row {r}, column {c}: non-finite value {cell}")
+
+
+def _refuse_non_finite(path, rows: list, sources: list, width: int) -> np.ndarray:
+    """``rows`` as an array, or the error for the first non-finite value in
+    file order; ``sources`` holds each row's (row number, line)."""
+    values = np.array(rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise _cell_error(path, *sources[int(np.argmin(finite.all(axis=1)))], width)
+    return values
 
 
 def load_csv(path, topo: SkeletonTopology) -> MotionSequence:
-    """Parse a motion CSV; errors carry 1-based row/column coordinates."""
+    """Parse a motion CSV; errors carry 1-based row/column coordinates.
+
+    Each cell goes through ``float``; finiteness is checked once over the
+    parsed array, and an error reports the first bad cell in file order.
+    """
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
@@ -238,36 +266,27 @@ def load_csv(path, topo: SkeletonTopology) -> MotionSequence:
 
         n = topo.joint_count
         width = 3 * n
-        rows = []
+        rows, sources = [], []
         for r, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            offset = 0
-            if len(cells) == width + 1:
-                offset = 1  # leading frame-index column
-            elif len(cells) != width:
+            if len(cells) not in (width, width + 1):  # width + 1: leading frame-index column
+                _refuse_non_finite(path, rows, sources, width)
                 raise CsvParseError(
                     f"{path}: row {r} has {len(cells)} columns, expected {width}"
                     f" (or {width + 1} with a frame index)"
                 )
-            values = np.empty(width)
-            for c, cell in enumerate(cells[offset:], start=1):
-                try:
-                    values[c - 1] = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {r}, column {c + offset}: {cell!r} is not a number"
-                    ) from None
-                if not np.isfinite(values[c - 1]):
-                    raise CsvParseError(
-                        f"{path}: row {r}, column {c + offset}: non-finite value {cell}"
-                    )
-            rows.append(values)
+            try:
+                rows.append(np.fromiter(map(float, cells[len(cells) - width:]), float, width))
+            except ValueError:
+                _refuse_non_finite(path, rows, sources, width)
+                raise _cell_error(path, r, line, width) from None
+            sources.append((r, line))
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
-    frames = np.asarray(rows).reshape(len(rows), n, 3)
+    frames = _refuse_non_finite(path, rows, sources, width).reshape(len(rows), n, 3)
     return MotionSequence(frames=frames, fps=fps)
 
 

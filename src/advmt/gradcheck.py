@@ -305,7 +305,9 @@ _SUITE = (
     ("concat", 1e-6, _inputs(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
     ("linear", 1e-6, _inputs(_op("linear", (2, 3, 5), (5, 4), (4,)))),
     ("attention", 1e-6, _inputs(_op(lambda q, k, v: tensor.attention(q, k, v, 2, 0.6),
-                                    (2, 4, 6), (2, 4, 6), (2, 4, 6)))),
+                                    (2, 4, 6), (2, 4, 6), (2, 4, 6)),
+                                _op(lambda q, k, v: tensor.attention(q, k, v, 2, 0.6),
+                                    (2, 2, 6), (2, 5, 6), (2, 5, 6)))),
     ("layer_norm", 1e-5, _inputs(_op("layer_norm", (3, 5), (5,), (5,)))),
     ("backward_mlp", 1e-5, _inputs(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
     ("attention_block", 1e-4, _check_attention_block),

@@ -9,6 +9,13 @@ over the model's own predictions.
 There is deliberately no causal mask: the encoder only ever sees a fully
 observed window, never future targets, so masking would not hide anything.
 
+Because the head reads only the last token, the last layer computes keys
+and values from all T tokens but queries, attention output, residual and
+feed-forward only for the last ``HEAD_ROWS`` = 2 (see its comment for why
+two). Its ``collect_attention`` entry is therefore (..., H, 2, T), the
+other layers' (..., H, T, T); and per-call layer timings averaged over
+all layers fall in part because the last layer's calls do less work.
+
 Coordinate frame. Everything outside ``forward_window`` (rollout, losses,
 discriminator, evaluation, CSV I/O) is in absolute millimetres; only the
 encoder works in a normalized frame. A window is made root-relative by
@@ -148,6 +155,16 @@ class LayerNorm:
         return [self.gain, self.bias]
 
 
+# The head reads only the last token, so the last layer computes queries,
+# attention output, out-projection and feed-forward for the last HEAD_ROWS
+# tokens alone (keys and values still come from every token). Two rows, not
+# one: numpy sends a one-row product to gemv, whose sums round differently
+# from a GEMM row, while two-row GEMMs give the full layer's last rows bit for
+# bit (OpenBLAS 0.3.31, one thread, batch 1 and 8, N = 64 and 128), so the
+# forward outputs equal those of the unpruned layer byte for byte.
+HEAD_ROWS = 2
+
+
 class EncoderLayer:
     """Pre-norm residual block: x + MHA(LN(x)), then + FF(LN(.))."""
 
@@ -164,14 +181,20 @@ class EncoderLayer:
         self.ff1 = Linear(d, cfg.ff_dim, rng)
         self.ff2 = Linear(cfg.ff_dim, d, rng)
 
-    def attention(self, x: Tensor, collect=None) -> Tensor:
+    def attention(self, x: Tensor, collect=None, rows=None) -> Tensor:
+        """Self-attention over all tokens of x; with ``rows``, only the last
+        ``rows`` tokens query, so the output is (..., rows, D)."""
         h = self.ln1(x)
-        ctx = tensor.attention(self.wq(h), self.wk(h), self.wv(h), self.num_heads,
+        q = h if rows is None else h[..., -rows:, :]
+        ctx = tensor.attention(self.wq(q), self.wk(h), self.wv(h), self.num_heads,
                                1.0 / math.sqrt(self.head_dim), collect=collect)
         return self.wo(ctx)
 
-    def __call__(self, x: Tensor, collect=None) -> Tensor:
-        x = x + self.attention(x, collect=collect)
+    def __call__(self, x: Tensor, collect=None, rows=None) -> Tensor:
+        """(..., T, D) -> (..., T, D); with ``rows``, only the last ``rows``
+        tokens' outputs, (..., rows, D), computed from all T tokens."""
+        residual = x if rows is None else x[..., -rows:, :]
+        x = residual + self.attention(x, collect=collect, rows=rows)
         return x + self.ff2(tensor.relu(self.ff1(self.ln2(x))))
 
     def params(self):
@@ -234,8 +257,9 @@ class EncoderModel:
         offset = last_frame @ self._root_tiling + self.pose_mean  # (..., 1, 3N)
         z = (x - offset) * Tensor(1.0 / self.pose_std.data)
         h = self.embed(z) + self._pe
-        for layer in self.layers:
+        for layer in self.layers[:-1]:
             h = layer(h, collect=collect_attention)
+        h = self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS)
         last = h[..., -1:, :]  # keep rank for the head projection
         return last_frame[..., 0, :] + self.head(last)[..., 0, :] * self.delta_scale
 

@@ -309,26 +309,30 @@ def linear(x, W, b) -> Tensor:
 def attention(q, k, v, heads: int, scale: float, collect=None) -> Tensor:
     """Per-head ``softmax(q @ kᵀ · scale) @ v`` on (..., T, D) projections, as one node.
 
-    The node owns the head layout: it splits q, k and v into (..., H, T, D/H)
-    views and merges the context back to (..., T, D), and so does its vjp. It
-    keeps one (..., H, T, T) buffer, the probabilities, which ``collect`` (a
-    list) receives when given. The numpy expressions are those of the
+    q is (..., Tq, D) and k, v are (..., Tk, D): any number of query rows
+    attend over all key rows, and the output is (..., Tq, D). The node owns
+    the head layout: it splits q, k and v into (..., H, T, D/H) views and
+    merges the context back, and so does its vjp. It keeps one
+    (..., H, Tq, Tk) buffer, the probabilities, which ``collect`` (a list)
+    receives when given. The numpy expressions are those of the
     reshape/swapaxes, ``matmul``, softmax, ``matmul`` chain kept as the oracle
     in the tests, on the same views, so values and gradients equal it bit for bit.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.shape != k.shape or q.shape != v.shape:
-        raise DimensionError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} differ")
+    if k.shape != v.shape or q.ndim != k.ndim or q.shape[:-2] != k.shape[:-2] \
+            or q.shape[-1:] != k.shape[-1:]:
+        raise DimensionError(
+            f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not match "
+            "(k and v must agree, and q may differ from them only in rows)"
+        )
     if heads < 1 or q.ndim < 2 or q.shape[-1] % heads:
         raise DimensionError(f"attention: shape {q.shape} does not split into {heads} heads")
-    shape = q.shape
-    split = shape[:-1] + (heads, shape[-1] // heads)
 
     def heads_of(x):  # (..., T, D) -> (..., H, T, D/H)
-        return x.reshape(split).swapaxes(-3, -2)
+        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
 
-    def merged(x):  # (..., H, T, D/H) -> (..., T, D)
-        return x.swapaxes(-3, -2).reshape(shape)
+    def merged(x, like):  # (..., H, T, D/H) -> (..., T, D), the shape of ``like``
+        return x.swapaxes(-3, -2).reshape(like.shape)
 
     qh, kh, vh = heads_of(q.data), heads_of(k.data), heads_of(v.data)
     probs = qh @ kh.swapaxes(-1, -2)
@@ -347,9 +351,9 @@ def attention(q, k, v, heads: int, scale: float, collect=None) -> Tensor:
         gscores *= scale
         gq = gscores @ kh
         gk = (qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2)
-        return ((q, merged(gq)), (k, merged(gk)), (v, merged(gv)))
+        return ((q, merged(gq, q)), (k, merged(gk, k)), (v, merged(gv, v)))
 
-    return Tensor._result(merged(probs @ vh), (q, k, v), vjp)
+    return Tensor._result(merged(probs @ vh, q), (q, k, v), vjp)
 
 
 # -- layer norm ----------------------------------------------------------------

@@ -159,6 +159,35 @@ class TestCsv:
         with pytest.raises(CsvParseError, match=r"row 3, column 7"):
             load_csv(path, topo)
 
+    @pytest.mark.parametrize("rows,message", [
+        (["1,2,3", "1,inf,3", "1,x,3"], r"row 2, column 2: non-finite value inf$"),
+        (["1,2,3", "1,inf,3", "1,2"], r"row 2, column 2: non-finite value inf$"),
+        (["0,1,2,3", "", "1,1,2,1e999", "2,1,nan,3"], r"row 3, column 4: non-finite value 1e999$"),
+        (["1,2,3", "1,x,inf"], r"row 2, column 2: 'x' is not a number$"),
+        (["1,nan,x"], r"row 1, column 2: non-finite value nan$"),
+    ])
+    def test_first_bad_cell_in_file_order(self, tmp_path, rows, message):
+        """Finiteness is checked over the parsed array, after the parse; the
+        error still names the first bad cell of the file."""
+        from advmt.skeleton import SkeletonTopology
+
+        topo = SkeletonTopology(joint_names=("a",), parent=(None,))
+        path = tmp_path / "bad.csv"
+        path.write_text("# fps=25 joints=a\n" + "\n".join(rows) + "\n")
+        with pytest.raises(CsvParseError, match=message):
+            load_csv(path, topo)
+
+    def test_saved_cells_are_17_digit_g_format(self, tmp_path):
+        from advmt.skeleton import SkeletonTopology
+
+        topo = SkeletonTopology(joint_names=("a",), parent=(None,))
+        values = [[0.1, -0.0, 1 / 3], [5e-324, 1e22, -2.5e-10]]
+        path = tmp_path / "fmt.csv"
+        save_csv(MotionSequence(frames=np.array(values).reshape(2, 1, 3), fps=25), path, ("a",))
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values)
+        assert path.read_text() == "# fps=25 joints=a\n" + expected
+        assert np.array_equal(load_csv(path, topo).frames.reshape(2, 3), values)
+
     def test_missing_fps_header(self, tmp_path, topo17):
         path = tmp_path / "nofps.csv"
         path.write_text("# joints=a\n1,2,3\n")

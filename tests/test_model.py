@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -13,9 +14,10 @@ from advmt.model import (
     positional_encoding,
     predict_next,
     rollout,
+    rollout_graph,
     save_checkpoint,
 )
-from advmt.tensor import Tensor
+from advmt.tensor import Tensor, no_grad
 
 
 def tiny_config(**overrides):
@@ -169,6 +171,66 @@ class TestRollout:
     def test_l_frames_validated(self, tiny_model, rng):
         with pytest.raises(ContractError):
             rollout(tiny_model, rng.standard_normal((8, 2, 3)), 0)
+
+
+class _Unpruned:
+    """The last layer with its ``rows`` argument ignored: every token's output."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def __call__(self, x, collect=None, rows=None):
+        return self.layer(x, collect=collect)
+
+
+class TestQueryPruning:
+    """The pruned last layer against an oracle that runs it on all rows and
+    lets the head read row -1, on the default-size encoder (input 51)."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        enc = init_encoder(EncoderConfig(input_dim=51), seed=1)
+        enc.set_frame_statistics(np.zeros(51), np.full(51, 100.0), np.full(51, 10.0))
+        oracle = copy.copy(enc)  # shares every parameter tensor with enc
+        oracle.layers = enc.layers[:-1] + [_Unpruned(enc.layers[-1])]
+        return enc, oracle
+
+    @pytest.mark.parametrize("batch", [(8,), (1,), ()], ids=["batch8", "batch1", "unbatched"])
+    def test_forward_and_rollout_bitwise(self, models, batch):
+        enc, oracle = models
+        rng = np.random.default_rng(len(batch) + sum(batch))
+        window = Tensor(rng.standard_normal(batch + (50, 51)) * 100)
+        attn, attn_oracle = [], []
+        with no_grad():
+            out = enc.forward_window(window, collect_attention=attn).data
+            ref = oracle.forward_window(window, collect_attention=attn_oracle).data
+            frames = rollout_graph(enc, window, 25).data
+            frames_ref = rollout_graph(oracle, window, 25).data
+        assert attn[-1].shape == batch + (4, 2, 50)  # the last layer queried two rows
+        assert attn_oracle[-1].shape == batch + (4, 50, 50)
+        assert out.tobytes() == ref.tobytes()
+        assert frames.tobytes() == frames_ref.tobytes()
+
+    @pytest.mark.parametrize("batch", [(8,), (1,), ()], ids=["batch8", "batch1", "unbatched"])
+    def test_gradients_agree(self, models, batch):
+        """Within 1e-12 of the gradients' global norm, not bitwise: the oracle
+        also sums products over the 48 rows whose gradient is zero, which
+        changes the rounding of the sums the two paths share."""
+        enc, oracle = models
+        rng = np.random.default_rng(3)
+        window = rng.standard_normal(batch + (50, 51)) * 100
+        c = rng.standard_normal(batch + (3, 51))
+
+        def grads(model):
+            for p in enc.parameters():
+                p.zero_grad()
+            (rollout_graph(model, Tensor(window), 3) * c).sum().backward()
+            return [p.grad.copy() for p in enc.parameters()]
+
+        pruned, ref = grads(enc), grads(oracle)
+        norm = math.sqrt(sum(float((g * g).sum()) for g in ref))
+        worst = max(float(np.abs(a - b).max()) for a, b in zip(pruned, ref))
+        assert worst <= 1e-12 * norm
 
 
 class TestConfig:

@@ -176,16 +176,20 @@ class TestFusedOps:
         chain = values_and_grads(lambda xx, ww, bb: (xx @ ww + bb) * c, x, w, b)
         assert_bitwise(fused, chain)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 5, 8), (5, 6)])
-    def test_attention_matches_chain(self, rng, shape):
-        q, k, v = (rng.standard_normal(shape) for _ in range(3))
+    @pytest.mark.parametrize("shape,key_rows", [((2, 3, 5, 8), 5), ((5, 6), 5), ((2, 3, 2, 8), 5)],
+                             ids=["shape0", "shape1", "fewer_queries"])
+    def test_attention_matches_chain(self, rng, shape, key_rows):
+        """q is ``shape``; k and v have ``key_rows`` rows."""
+        kv_shape = shape[:-2] + (key_rows, shape[-1])
+        q = rng.standard_normal(shape)
+        k, v = rng.standard_normal(kv_shape), rng.standard_normal(kv_shape)
         c = rng.standard_normal(shape)
         scale = 1.0 / np.sqrt(3.0)
         heads = 2
 
         def chain_forward(qq, kk, vv):
             def split(x):  # (..., T, D) -> (..., H, T, D/H)
-                return x.reshape(shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
+                return x.reshape(x.shape[:-1] + (heads, shape[-1] // heads)).swapaxes(-3, -2)
 
             ctx = softmax_node(matmul(split(qq), split(kk).swapaxes(-1, -2)) * scale) @ split(vv)
             return ctx.swapaxes(-3, -2).reshape(shape) * c
@@ -200,6 +204,9 @@ class TestFusedOps:
         assert out.shape == (2, 5, 6)
         assert probs[0].shape == (2, 2, 5, 5)
         assert np.abs(probs[0].sum(axis=-1) - 1.0).max() < 1e-12
+        out = attention(Tensor(q[:, -2:]), Tensor(k), Tensor(v), 2, 0.5, collect=probs)
+        assert out.shape == (2, 2, 6)
+        assert probs[1].shape == (2, 2, 2, 5)
 
     def test_shape_errors_name_shapes(self):
         with pytest.raises(DimensionError, match=r"\(4, 5\).*\(3, 2\)"):
@@ -211,6 +218,10 @@ class TestFusedOps:
             attention(q, Tensor(np.zeros((4, 3))), q, 1, 1.0)
         with pytest.raises(DimensionError, match=r"\(4, 6\).*\(4, 6\).*\(5, 6\)"):
             attention(q, q, Tensor(np.zeros((5, 6))), 1, 1.0)
+        kv = Tensor(np.zeros((2, 5, 6)))
+        for bad in ((3, 2, 6), (2, 2, 4), (2, 6), (1, 2, 2, 6)):  # leading dims, D, rank
+            with pytest.raises(DimensionError, match=rf"{re.escape(str(bad))}.*\(2, 5, 6\)"):
+                attention(Tensor(np.zeros(bad)), kv, kv, 1, 1.0)
         for shape, heads in (((4, 6), 4), ((4, 6), 0), ((6,), 1)):
             x = Tensor(np.zeros(shape))
             with pytest.raises(DimensionError, match=rf"{re.escape(str(shape))}.*{heads} heads"):
@@ -219,8 +230,9 @@ class TestFusedOps:
     def test_encoder_window_graph_node_count(self):
         """Pinned so an unfused path coming back fails: the matmul-add linears
         and the five-node attention chain gave this graph 119 nodes, the fused
-        attention between eight split and merge nodes 95, and the attention
-        node that owns the head layout 79."""
+        attention between eight split and merge nodes 95, the attention
+        node that owns the head layout 79, and last-layer query pruning 81
+        (two ``take`` nodes pick the query and residual rows)."""
         cfg = EncoderConfig(input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24,
                             history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
@@ -231,7 +243,7 @@ class TestFusedOps:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack_.append(parent)
-        assert len(seen) == 79
+        assert len(seen) == 81
 
 
 class TestLayerNorm:
