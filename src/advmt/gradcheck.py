@@ -170,7 +170,7 @@ def _chain_topology(n):
     )
 
 
-def _check_attention_block(rng, instances):
+def _check_encoder_layer(rng, instances):
     cfg = EncoderConfig(
         input_dim=6, num_layers=1, num_heads=2, model_dim=16, ff_dim=24, history_len=6
     )
@@ -284,6 +284,9 @@ def _check_total_loss_end_to_end(rng, instances):
     return worst
 
 
+# gain, bias, then weight and bias of the q, k, v and out projections, D = 6
+_ATTENTION_PARAMS = ((6,), (6,)) + ((6, 6), (6,)) * 4
+
 _SUITE = (
     ("matmul", 1e-6, _inputs(_op("matmul", (2, 4, 5), (5, 3)))),
     ("add", 1e-6, _inputs(_op("add", (3, 4), (4,)))),
@@ -304,13 +307,14 @@ _SUITE = (
     ("stack", 1e-6, _inputs(_op(lambda a, b: tensor.stack([a, b], axis=1), (2, 3), (2, 3)))),
     ("concat", 1e-6, _inputs(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
     ("linear", 1e-6, _inputs(_op("linear", (2, 3, 5), (5, 4), (4,)))),
-    ("attention", 1e-6, _inputs(_op(lambda q, k, v: tensor.attention(q, k, v, 2, 0.6),
-                                    (2, 4, 6), (2, 4, 6), (2, 4, 6)),
-                                _op(lambda q, k, v: tensor.attention(q, k, v, 2, 0.6),
-                                    (2, 2, 6), (2, 5, 6), (2, 5, 6)))),
-    ("layer_norm", 1e-5, _inputs(_op("layer_norm", (3, 5), (5,), (5,)))),
+    ("attention_block", 1e-6, _inputs(
+        _op(lambda x, *p: tensor.attention_block(x, *p, 2), (2, 4, 6), *_ATTENTION_PARAMS),
+        _op(lambda x, *p: tensor.attention_block(x, *p, 2, rows=2), (2, 5, 6),
+            *_ATTENTION_PARAMS))),
+    ("feed_forward_block", 1e-6, _inputs(_op("feed_forward_block", (2, 3, 5), (5,), (5,),
+                                             (5, 7), (7,), (7, 5), (5,)))),
     ("backward_mlp", 1e-5, _inputs(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
-    ("attention_block", 1e-4, _check_attention_block),
+    ("encoder_layer", 1e-4, _check_encoder_layer),
     ("predict_next", 1e-4, lambda rng, k: _check_rollout(rng, k, 1)),
     ("rollout_chain", 1e-4, lambda rng, k: _check_rollout(rng, k, 3)),
     ("disc_score", 1e-5, _check_disc_score),

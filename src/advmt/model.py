@@ -9,6 +9,12 @@ over the model's own predictions.
 There is deliberately no causal mask: the encoder only ever sees a fully
 observed window, never future targets, so masking would not hide anything.
 
+Each encoder layer is two graph nodes: ``tensor.attention_block`` (pre-norm,
+q/k/v, per-head softmax, out-projection, residual) and
+``tensor.feed_forward_block`` (pre-norm, ff1, relu, ff2, residual). A
+layer's ``LayerNorm`` and ``Linear`` objects only hold its parameters, in
+checkpoint order; the embedding and the head go through ``tensor.linear``.
+
 Because the head reads only the last token, the last layer computes keys
 and values from all T tokens but queries, attention output, residual and
 feed-forward only for the last ``HEAD_ROWS`` = 2 (see its comment for why
@@ -143,13 +149,11 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, dim: int, eps: float = 1e-5):
+    """Gain and bias of a pre-norm; the block nodes in ``tensor`` apply it."""
+
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return tensor.layer_norm(x, self.gain, self.bias, eps=self.eps)
 
     def params(self):
         return [self.gain, self.bias]
@@ -166,12 +170,11 @@ HEAD_ROWS = 2
 
 
 class EncoderLayer:
-    """Pre-norm residual block: x + MHA(LN(x)), then + FF(LN(.))."""
+    """Pre-norm residual block, two graph nodes: x + MHA(LN(x)), then + FF(LN(.))."""
 
     def __init__(self, cfg: EncoderConfig, rng):
         d = cfg.model_dim
         self.num_heads = cfg.num_heads
-        self.head_dim = d // cfg.num_heads
         self.ln1 = LayerNorm(d)
         self.wq = Linear(d, d, rng)
         self.wk = Linear(d, d, rng)
@@ -182,20 +185,20 @@ class EncoderLayer:
         self.ff2 = Linear(cfg.ff_dim, d, rng)
 
     def attention(self, x: Tensor, collect=None, rows=None) -> Tensor:
-        """Self-attention over all tokens of x; with ``rows``, only the last
-        ``rows`` tokens query, so the output is (..., rows, D)."""
-        h = self.ln1(x)
-        q = h if rows is None else h[..., -rows:, :]
-        ctx = tensor.attention(self.wq(q), self.wk(h), self.wv(h), self.num_heads,
-                               1.0 / math.sqrt(self.head_dim), collect=collect)
-        return self.wo(ctx)
+        """The attention half-block with its residual, x + MHA(LN(x)); with
+        ``rows``, only the last ``rows`` tokens query, so the output is
+        (..., rows, D)."""
+        return tensor.attention_block(
+            x, *self.ln1.params(), *self.wq.params(), *self.wk.params(), *self.wv.params(),
+            *self.wo.params(), self.num_heads, rows=rows, collect=collect,
+        )
 
     def __call__(self, x: Tensor, collect=None, rows=None) -> Tensor:
         """(..., T, D) -> (..., T, D); with ``rows``, only the last ``rows``
         tokens' outputs, (..., rows, D), computed from all T tokens."""
-        residual = x if rows is None else x[..., -rows:, :]
-        x = residual + self.attention(x, collect=collect, rows=rows)
-        return x + self.ff2(tensor.relu(self.ff1(self.ln2(x))))
+        return tensor.feed_forward_block(self.attention(x, collect=collect, rows=rows),
+                                         *self.ln2.params(), *self.ff1.params(),
+                                         *self.ff2.params())
 
     def params(self):
         out = self.ln1.params()

@@ -9,6 +9,7 @@ Single-threaded by contract; no views beyond contiguous reshape.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -247,6 +248,16 @@ def mul(a, b) -> Tensor:
     return Tensor._result(a.data * b.data, (a, b), vjp)
 
 
+def _relu(a: np.ndarray, out=None) -> np.ndarray:
+    """``np.where(a > 0, a, 0.0)`` bit for bit, about five times faster, into
+    ``out`` (which may be ``a``): ``maximum`` may keep -0.0 and keeps NaN, so
+    ``+= 0.0`` turns -0.0 into +0.0 and NaN entries are zeroed after."""
+    out = np.maximum(a, 0.0, out=np.empty_like(a) if out is None else out)
+    out += 0.0
+    out[np.isnan(out)] = 0.0
+    return out
+
+
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0  # tie at exactly 0 passes zero gradient
@@ -254,10 +265,10 @@ def relu(a) -> Tensor:
     def vjp(g):
         return ((a, g * mask),)
 
-    return Tensor._result(np.where(mask, a.data, 0.0), (a,), vjp)
+    return Tensor._result(_relu(a.data), (a,), vjp)
 
 
-# -- matmul and the fused linear and attention ops -------------------------------
+# -- matmul and the fused nodes: linear and the encoder's two half-blocks ------
 
 
 def _check_matmul(a: tuple, b: tuple, op: str):
@@ -284,6 +295,21 @@ def matmul(a, b) -> Tensor:
     return Tensor._result(a.data @ b.data, (a, b), vjp)
 
 
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = x @ W
+    out += b
+    return out
+
+
+def _affine_grads(x: np.ndarray, W: np.ndarray, b: np.ndarray, g: np.ndarray) -> tuple:
+    """(gx, gW, gb) of ``x @ W + b`` at cotangent ``g``, the rules of ``matmul`` then ``add``."""
+    return (
+        _unbroadcast(g @ W.swapaxes(-1, -2), x.shape),
+        _unbroadcast(x.swapaxes(-1, -2) @ g, W.shape),
+        _unbroadcast(g, b.shape),
+    )
+
+
 def linear(x, W, b) -> Tensor:
     """``x @ W + b`` as one node; backward needs only x and W, so the
     product is not kept. Values and gradients equal ``matmul`` then ``add``."""
@@ -299,42 +325,92 @@ def linear(x, W, b) -> Tensor:
     product += b.data
 
     def vjp(g):
-        gx = _unbroadcast(g @ W.data.swapaxes(-1, -2), x.shape)
-        gW = _unbroadcast(x.data.swapaxes(-1, -2) @ g, W.shape)
-        return ((x, gx), (W, gW), (b, _unbroadcast(g, b.shape)))
+        gx, gW, gb = _affine_grads(x.data, W.data, b.data, g)
+        return ((x, gx), (W, gW), (b, gb))
 
     return Tensor._result(product, (x, W, b), vjp)
 
 
-def attention(q, k, v, heads: int, scale: float, collect=None) -> Tensor:
-    """Per-head ``softmax(q @ kᵀ · scale) @ v`` on (..., T, D) projections, as one node.
+LN_EPS = 1e-5
 
-    q is (..., Tq, D) and k, v are (..., Tk, D): any number of query rows
-    attend over all key rows, and the output is (..., Tq, D). The node owns
-    the head layout: it splits q, k and v into (..., H, T, D/H) views and
-    merges the context back, and so does its vjp. It keeps one
-    (..., H, Tq, Tk) buffer, the probabilities, which ``collect`` (a list)
-    receives when given. The numpy expressions are those of the
-    reshape/swapaxes, ``matmul``, softmax, ``matmul`` chain kept as the oracle
-    in the tests, on the same views, so values and gradients equal it bit for bit.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if k.shape != v.shape or q.ndim != k.ndim or q.shape[:-2] != k.shape[:-2] \
-            or q.shape[-1:] != k.shape[-1:]:
+
+def _normalize(x: np.ndarray) -> tuple:
+    """(xhat, std): the last axis at zero mean and unit variance, and its std."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + LN_EPS)
+    return (x - mu) / std, std
+
+
+def _normalize_grads(g: np.ndarray, xhat: np.ndarray, std: np.ndarray, gain: np.ndarray) -> tuple:
+    """(gx, ggain, gbias) of the layer norm ``xhat * gain + bias`` at cotangent ``g``."""
+    gxhat = g * gain
+    gx = (
+        gxhat
+        - gxhat.mean(axis=-1, keepdims=True)
+        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+    ) / std
+    reduce_axes = tuple(range(g.ndim - 1))
+    return gx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+
+
+def _check_block(op: str, x: Tensor, params: tuple, shapes: list):
+    """Raise, naming every shape, unless x is (..., T, D) and the params have ``shapes``."""
+    got = [p.shape for p in params]
+    if x.ndim < 2 or got != shapes:
         raise DimensionError(
-            f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not match "
-            "(k and v must agree, and q may differ from them only in rows)"
+            f"{op}: input {x.shape} and parameters {got} do not fit; "
+            f"expected (..., T, D) and {shapes}"
         )
-    if heads < 1 or q.ndim < 2 or q.shape[-1] % heads:
-        raise DimensionError(f"attention: shape {q.shape} does not split into {heads} heads")
 
-    def heads_of(x):  # (..., T, D) -> (..., H, T, D/H)
-        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
 
-    def merged(x, like):  # (..., H, T, D/H) -> (..., T, D), the shape of ``like``
-        return x.swapaxes(-3, -2).reshape(like.shape)
+def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
+                    collect=None) -> Tensor:
+    """The pre-norm attention half-block ``x + MHA(LN(x))`` as one node.
 
-    qh, kh, vh = heads_of(q.data), heads_of(k.data), heads_of(v.data)
+    x is (..., T, D). ``h = LN(x)`` (gain, bias), projections
+    ``q = h @ wq + bq`` and likewise k and v, per-head
+    ``softmax(q kᵀ / sqrt(D/H)) v``, merged back to (..., T, D), then
+    ``@ wo + bo`` and the residual x. With ``rows``, only the last ``rows``
+    tokens query (keys and values still come from all T) and the output is
+    their (..., rows, D). The probabilities, (..., H, Tq, T), go to
+    ``collect`` (a list) when given.
+
+    The node keeps xhat and std of the norm, q, k, v, the probabilities and
+    the merged context; backward recomputes ``h`` from xhat. The numpy
+    expressions and the gradient summation order are those of the
+    ``layer_norm``, ``linear``, ``take``, ``attention``, ``linear``,
+    ``add`` chain kept as the oracle in the tests: the gradient at ``h`` is
+    (q-path + k-path) + v-path, the q-path scattered into zeros first when
+    ``rows`` is given, and the input's is residual + norm path. So values and
+    gradients equal the chain's bit for bit.
+    """
+    x = as_tensor(x)
+    params = tuple(as_tensor(p) for p in (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo))
+    d = x.shape[-1] if x.ndim else 0
+    _check_block("attention_block", x, params, [(d,), (d,)] + [(d, d), (d,)] * 4)
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention_block: shape {x.shape} does not split into {heads} heads")
+    t = x.shape[-2]
+    if rows is not None and not 1 <= rows <= t:
+        raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {x.shape}")
+    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
+    scale = 1.0 / math.sqrt(d // heads)
+
+    def heads_of(a):  # (..., T, D) -> (..., H, T, D/H)
+        return a.reshape(a.shape[:-1] + (heads, d // heads)).swapaxes(-3, -2)
+
+    def merged(a, shape):  # (..., H, T, D/H) -> (..., T, D)
+        return a.swapaxes(-3, -2).reshape(shape)
+
+    def queried(a):  # the rows that query
+        return a if rows is None else a[..., -rows:, :]
+
+    xhat, std = _normalize(x.data)
+    h = xhat * gain.data + bias.data
+    q = _affine(queried(h), wq.data, bq.data)
+    k, v = _affine(h, wk.data, bk.data), _affine(h, wv.data, bv.data)
+    qh, kh, vh = heads_of(q), heads_of(k), heads_of(v)
     probs = qh @ kh.swapaxes(-1, -2)
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)
@@ -342,49 +418,80 @@ def attention(q, k, v, heads: int, scale: float, collect=None) -> Tensor:
     probs /= probs.sum(axis=-1, keepdims=True)
     if collect is not None:
         collect.append(probs)
+    ctx = merged(probs @ vh, q.shape)
+    out = queried(x.data) + _affine(ctx, wo.data, bo.data)
 
-    def vjp(g):
-        g = heads_of(g)
-        gprobs = g @ vh.swapaxes(-1, -2)
-        gv = probs.swapaxes(-1, -2) @ g
-        gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
+    def vjp(g):  # in-place steps and early ``del``s keep few temporaries alive
+        gctx, gwo, gbo = _affine_grads(ctx, wo.data, bo.data, g)
+        gctx = heads_of(gctx)
+        gv = probs.swapaxes(-1, -2) @ gctx
+        gscores = gctx @ vh.swapaxes(-1, -2)  # the probabilities' gradient, for now
+        del gctx
+        gscores -= (gscores * probs).sum(axis=-1, keepdims=True)
+        gscores *= probs
         gscores *= scale
-        gq = gscores @ kh
-        gk = (qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2)
-        return ((q, merged(gq, q)), (k, merged(gk, k)), (v, merged(gv, v)))
+        h = xhat * gain.data + bias.data
+        hq = queried(h)
+        gq = merged(gscores @ kh, hq.shape)
+        gk = merged((qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2), h.shape)
+        del gscores
+        gh, gwq, gbq = _affine_grads(hq, wq.data, bq.data, gq)
+        if rows is not None:  # the chain's ``take`` nodes scatter into zeros
+            gh, g = _scattered(gh, h.shape, rows), _scattered(g, h.shape, rows)
+        ghk, gwk, gbk = _affine_grads(h, wk.data, bk.data, gk)
+        gh += ghk
+        del gq, gk, ghk
+        ghv, gwv, gbv = _affine_grads(h, wv.data, bv.data, merged(gv, h.shape))
+        gh += ghv
+        del gv, ghv
+        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain.data)
+        gx += g
+        return ((x, gx), (gain, ggain), (bias, gbias), (wq, gwq), (bq, gbq),
+                (wk, gwk), (bk, gbk), (wv, gwv), (bv, gbv), (wo, gwo), (bo, gbo))
 
-    return Tensor._result(merged(probs @ vh, q), (q, k, v), vjp)
+    return Tensor._result(out, (x,) + params, vjp)
 
 
-# -- layer norm ----------------------------------------------------------------
+def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
+    """``g`` added into the last ``rows`` rows of zeros of ``shape``, as ``take``'s vjp does."""
+    out = np.zeros(shape)
+    out[..., -rows:, :] += g
+    return out
 
 
-def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    feat = x.shape[-1]
-    if gain.shape != (feat,) or bias.shape != (feat,):
-        raise DimensionError(
-            f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match feature extent {feat}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + eps)
-    xhat = (x.data - mu) / std
+def feed_forward_block(x, gain, bias, w1, b1, w2, b2) -> Tensor:
+    """The pre-norm feed-forward half-block ``x + relu(LN(x) @ w1 + b1) @ w2 + b2``
+    as one node, on (..., T, D).
+
+    The node keeps xhat and std of the norm and the (..., T, F) relu
+    output; backward recomputes the norm output and the relu mask from them.
+    The numpy expressions and summation order are those of the
+    ``layer_norm``, ``linear``, ``relu``, ``linear``, ``add`` chain kept as
+    the oracle in the tests (the input gradient is residual + norm path), so
+    values and gradients equal the chain's bit for bit.
+    """
+    x = as_tensor(x)
+    params = tuple(as_tensor(p) for p in (gain, bias, w1, b1, w2, b2))
+    d = x.shape[-1] if x.ndim else 0
+    f = params[2].shape[-1] if params[2].ndim == 2 else None
+    _check_block("feed_forward_block", x, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
+    gain, bias, w1, b1, w2, b2 = params
+    xhat, std = _normalize(x.data)
+    r = _affine(xhat * gain.data + bias.data, w1.data, b1.data)
+    _relu(r, out=r)
+    out = x.data + _affine(r, w2.data, b2.data)
 
     def vjp(g):
-        gxhat = g * gain.data
-        gx = (
-            gxhat
-            - gxhat.mean(axis=-1, keepdims=True)
-            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        ) / std
-        reduce_axes = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=reduce_axes)
-        gbias = g.sum(axis=reduce_axes)
-        return ((x, gx), (gain, ggain), (bias, gbias))
+        gr, gw2, gb2 = _affine_grads(r, w2.data, b2.data, g)
+        gr *= r > 0  # the relu's mask: r > 0 exactly where its input is
+        gh, gw1, gb1 = _affine_grads(xhat * gain.data + bias.data, w1.data, b1.data, gr)
+        del gr
+        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain.data)
+        gx += g
+        return ((x, gx), (gain, ggain), (bias, gbias), (w1, gw1), (b1, gb1), (w2, gw2),
+                (b2, gb2))
 
-    return Tensor._result(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+    return Tensor._result(out, (x,) + params, vjp)
 
 
 # -- reductions and pointwise maths -------------------------------------------
@@ -424,8 +531,8 @@ def sqrt(x) -> Tensor:
     x = as_tensor(x)
     out = np.sqrt(x.data)
 
-    def vjp(g):
-        return ((x, g * 0.5 / out),)
+    def vjp(g):  # a zero subgradient where out is 0 and the slope infinite
+        return ((x, np.divide(g * 0.5, out, out=np.zeros_like(out), where=out != 0)),)
 
     return Tensor._result(out, (x,), vjp)
 

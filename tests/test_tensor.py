@@ -1,13 +1,17 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advmt import tensor
 from advmt.errors import ContractError, DimensionError
 from advmt.gradcheck import central_difference, relative_error
 from advmt.model import EncoderConfig, EncoderModel
-from advmt.tensor import Tensor, attention, concat, layer_norm, linear, matmul, stack
+from advmt.tensor import (Tensor, as_tensor, attention_block, concat, feed_forward_block, linear,
+                          matmul, stack)
 
 
 def grad_of(forward, *arrays):
@@ -72,6 +76,10 @@ class TestElementwise:
     def test_relu(self):
         assert np.array_equal(tensor.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
+    def test_relu_matches_where_on_special_values(self):
+        x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -1.5])
+        assert tensor.relu(Tensor(x)).data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
     def test_relu_gates_zero_gradient_at_zero(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
         tensor.relu(x).sum().backward()
@@ -94,6 +102,93 @@ class TestElementwise:
         assert relative_error(gb, fd_of(forward, [a, b], 1)) < 1e-6
 
 
+# -- oracles: the engine's layer-norm and attention nodes before the block nodes
+
+
+def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
+    std = np.sqrt(var + eps)
+    xhat = (x.data - mu) / std
+
+    def vjp(g):
+        gxhat = g * gain.data
+        gx = (
+            gxhat
+            - gxhat.mean(axis=-1, keepdims=True)
+            - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+        ) / std
+        reduce_axes = tuple(range(g.ndim - 1))
+        ggain = (g * xhat).sum(axis=reduce_axes)
+        gbias = g.sum(axis=reduce_axes)
+        return ((x, gx), (gain, ggain), (bias, gbias))
+
+    return Tensor._result(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+
+
+def attention(q, k, v, heads, scale, collect=None) -> Tensor:
+    """Per-head ``softmax(q @ kᵀ · scale) @ v`` on (..., Tq, D) queries and
+    (..., Tk, D) keys and values, as one node that splits and merges the heads."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+
+    def heads_of(x):  # (..., T, D) -> (..., H, T, D/H)
+        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
+
+    def merged(x, like):  # (..., H, T, D/H) -> (..., T, D), the shape of ``like``
+        return x.swapaxes(-3, -2).reshape(like.shape)
+
+    qh, kh, vh = heads_of(q.data), heads_of(k.data), heads_of(v.data)
+    probs = qh @ kh.swapaxes(-1, -2)
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    if collect is not None:
+        collect.append(probs)
+
+    def vjp(g):
+        g = heads_of(g)
+        gprobs = g @ vh.swapaxes(-1, -2)
+        gv = probs.swapaxes(-1, -2) @ g
+        gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True))
+        gscores *= scale
+        gq = gscores @ kh
+        gk = (qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2)
+        return ((q, merged(gq, q)), (k, merged(gk, k)), (v, merged(gv, v)))
+
+    return Tensor._result(merged(probs @ vh, q), (q, k, v), vjp)
+
+
+def attention_block_chain(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, rows=None):
+    """``attention_block`` as the eight nodes (ten with ``rows``) it replaces."""
+    h = layer_norm(x, gain, bias)
+    q = h if rows is None else h[..., -rows:, :]
+    ctx = attention(linear(q, wq, bq), linear(h, wk, bk), linear(h, wv, bv), heads,
+                    1.0 / math.sqrt(x.shape[-1] // heads))
+    residual = x if rows is None else x[..., -rows:, :]
+    return residual + linear(ctx, wo, bo)
+
+
+def feed_forward_chain(x, gain, bias, w1, b1, w2, b2):
+    """``feed_forward_block`` as the five nodes it replaces."""
+    return x + linear(tensor.relu(linear(layer_norm(x, gain, bias), w1, b1)), w2, b2)
+
+
+def attention_params(rng, d):
+    """gain, bias, then weight and bias of the q, k, v and out projections."""
+    return [1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d)] + [
+        a for _ in range(4) for a in (rng.standard_normal((d, d)) / math.sqrt(d),
+                                      0.1 * rng.standard_normal(d))]
+
+
+def feed_forward_params(rng, d, f):
+    return [1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d),
+            rng.standard_normal((d, f)) / math.sqrt(d), 0.1 * rng.standard_normal(f),
+            rng.standard_normal((f, d)) / math.sqrt(f), 0.1 * rng.standard_normal(d)]
+
+
 def softmax_rows(x):
     """Row softmax through one-head ``attention``: identity keys and values
     with unit scale make the scores ``x`` and the output the probabilities.
@@ -107,16 +202,19 @@ def softmax_rows(x):
 
 
 class TestSoftmax:
-    """The softmax inside ``attention``."""
+    """The softmax inside the ``attention`` oracle, and in ``attention_block``."""
 
     def test_symmetry(self):
         out = softmax_rows([0.0, 0.0, 0.0])
         assert np.allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_large_inputs_stable(self):
+        # the rows normalize to about ±(1, -1); queries scaled by 1000 give
+        # scores near ±1414, whose exp overflows unless the row max is taken off
+        eye, zero = np.eye(2), np.zeros(2)
+        params = [np.ones(2), zero, 1000.0 * eye, zero] + [eye, zero] * 3
         probs = []
-        attention(Tensor([[1000.0, 0.0], [0.0, 0.0]]), Tensor(np.eye(2)), Tensor(np.eye(2)), 1,
-                  1.0, collect=probs)
+        attention_block(Tensor([[1.0, -1.0], [-1.0, 1.0]]), *params, 1, collect=probs)
         assert np.isfinite(probs[0]).all()
         assert probs[0][0, 0, 0] == pytest.approx(1.0)  # head 0, query row 0
         assert probs[0][0, 0, 1] == 0.0
@@ -198,34 +296,41 @@ class TestFusedOps:
         assert_bitwise(fused, values_and_grads(chain_forward, q, k, v))
 
     def test_attention_collects_probabilities(self, rng):
-        q, k, v = (rng.standard_normal((2, 5, 6)) for _ in range(3))
+        x, params = rng.standard_normal((2, 5, 6)), attention_params(rng, 6)
         probs = []
-        out = attention(Tensor(q), Tensor(k), Tensor(v), 2, 0.5, collect=probs)
+        out = attention_block(Tensor(x), *params, 2, collect=probs)
         assert out.shape == (2, 5, 6)
         assert probs[0].shape == (2, 2, 5, 5)
         assert np.abs(probs[0].sum(axis=-1) - 1.0).max() < 1e-12
-        out = attention(Tensor(q[:, -2:]), Tensor(k), Tensor(v), 2, 0.5, collect=probs)
+        out = attention_block(Tensor(x), *params, 2, rows=2, collect=probs)
         assert out.shape == (2, 2, 6)
         assert probs[1].shape == (2, 2, 2, 5)
 
-    def test_shape_errors_name_shapes(self):
+    def test_shape_errors_name_shapes(self, rng):
         with pytest.raises(DimensionError, match=r"\(4, 5\).*\(3, 2\)"):
             linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
         with pytest.raises(DimensionError, match="bias"):
             linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((5, 2))), Tensor(np.zeros(3)))
-        q = Tensor(np.zeros((4, 6)))
-        with pytest.raises(DimensionError, match=r"\(4, 6\).*\(4, 3\).*\(4, 6\)"):
-            attention(q, Tensor(np.zeros((4, 3))), q, 1, 1.0)
-        with pytest.raises(DimensionError, match=r"\(4, 6\).*\(4, 6\).*\(5, 6\)"):
-            attention(q, q, Tensor(np.zeros((5, 6))), 1, 1.0)
-        kv = Tensor(np.zeros((2, 5, 6)))
-        for bad in ((3, 2, 6), (2, 2, 4), (2, 6), (1, 2, 2, 6)):  # leading dims, D, rank
-            with pytest.raises(DimensionError, match=rf"{re.escape(str(bad))}.*\(2, 5, 6\)"):
-                attention(Tensor(np.zeros(bad)), kv, kv, 1, 1.0)
-        for shape, heads in (((4, 6), 4), ((4, 6), 0), ((6,), 1)):
-            x = Tensor(np.zeros(shape))
-            with pytest.raises(DimensionError, match=rf"{re.escape(str(shape))}.*{heads} heads"):
-                attention(x, x, x, heads, 1.0)
+        x, attn, ff = Tensor(np.zeros((2, 5, 6))), attention_params(rng, 6), \
+            feed_forward_params(rng, 6, 4)
+        for i, bad in ((0, (5,)), (2, (6, 4)), (9, (1, 6))):  # gain, q weight, out bias
+            params = attn[:i] + [np.zeros(bad)] + attn[i + 1:]
+            with pytest.raises(DimensionError, match=rf"\(2, 5, 6\).*{re.escape(str(bad))}"):
+                attention_block(x, *params, 2)
+        for i, bad in ((1, (4,)), (4, (6, 4)), (3, (6,))):  # bias, second weight, first bias
+            params = ff[:i] + [np.zeros(bad)] + ff[i + 1:]
+            with pytest.raises(DimensionError, match=rf"\(2, 5, 6\).*{re.escape(str(bad))}"):
+                feed_forward_block(x, *params)
+        for op, params in ((lambda t, *p: attention_block(t, *p, 1), attn),
+                           (feed_forward_block, ff)):
+            with pytest.raises(DimensionError, match=r"input \(6,\)"):  # no token axis
+                op(Tensor(np.zeros(6)), *params)
+        for heads in (4, 0):
+            with pytest.raises(DimensionError, match=rf"\(2, 5, 6\).*{heads} heads"):
+                attention_block(x, *attn, heads)
+        for rows in (0, 6):
+            with pytest.raises(DimensionError, match=rf"rows {rows}.*\(2, 5, 6\)"):
+                attention_block(x, *attn, 2, rows=rows)
 
     def test_encoder_window_graph_node_count(self):
         """Pinned so an unfused path coming back fails: the matmul-add linears
@@ -243,10 +348,39 @@ class TestFusedOps:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack_.append(parent)
-        assert len(seen) == 81
+        assert len(seen) == 59
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), t=st.integers(2, 6),
+           heads=st.integers(1, 3), head_dim=st.integers(1, 3),
+           rows=st.sampled_from([None, 1, 2, "T"]), seed=st.integers(0, 2**32 - 1))
+    def test_attention_block_matches_chain(self, lead, t, heads, head_dim, rows, seed):
+        rng = np.random.default_rng(seed)
+        d, rows = heads * head_dim, t if rows == "T" else rows
+        x, params = rng.standard_normal(tuple(lead) + (t, d)), attention_params(rng, d)
+        c = rng.standard_normal(tuple(lead) + (t if rows is None else rows, d))
+        fused = values_and_grads(lambda *a: attention_block(*a, heads, rows=rows) * c, x, *params)
+        chain = values_and_grads(lambda *a: attention_block_chain(*a, heads, rows=rows) * c,
+                                 x, *params)
+        assert_bitwise(fused, chain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), t=st.integers(1, 6),
+           d=st.integers(1, 6), f=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_feed_forward_block_matches_chain(self, lead, t, d, f, seed):
+        rng = np.random.default_rng(seed)
+        x, params = rng.standard_normal(tuple(lead) + (t, d)), feed_forward_params(rng, d, f)
+        c = rng.standard_normal(x.shape)
+        fused = values_and_grads(lambda *a: feed_forward_block(*a) * c, x, *params)
+        chain = values_and_grads(lambda *a: feed_forward_chain(*a) * c, x, *params)
+        assert_bitwise(fused, chain)
 
 
 class TestLayerNorm:
+    """The layer-norm oracle the block nodes are held to, against hand values
+    and finite differences; the blocks' own refusal of a bad gain."""
+
     def test_constant_input_is_bias(self, rng):
         x = np.full((4,), 7.3)
         gain = rng.standard_normal(4)
@@ -258,9 +392,12 @@ class TestLayerNorm:
         out = layer_norm(Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-3)
 
-    def test_mismatched_gain(self):
+    def test_mismatched_gain(self, rng):
+        x, gain = Tensor(np.zeros((2, 4))), np.ones(3)
         with pytest.raises(DimensionError):
-            layer_norm(Tensor(np.zeros((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+            attention_block(x, gain, *attention_params(rng, 4)[1:], 1)
+        with pytest.raises(DimensionError):
+            feed_forward_block(x, gain, *feed_forward_params(rng, 4, 5)[1:])
 
     def test_gradcheck(self, rng):
         for _ in range(10):

@@ -6,7 +6,8 @@ from advmt.discriminator import DiscriminatorConfig
 from advmt.errors import ConfigurationError, ContractError, DivergenceError, HorizonError
 from advmt.losses import LossWeights
 from advmt.model import EncoderConfig
-from advmt.tensor import Tensor
+from advmt import tensor
+from advmt.tensor import Tensor, global_grad_norm
 from advmt.training import Adam, TrainConfig, Trainer, clip_gradients, fit
 
 
@@ -141,10 +142,10 @@ class TestTrainStep:
         with pytest.raises(DivergenceError):
             trainer.train_step(batch)
 
-    def test_nan_gradient_stops_before_adam_step(self, topo17):
-        # A forecast that lands exactly on every truth joint makes the sqrt
-        # vjp of the position error divide by zero: the loss is a finite 0
-        # but the gradient norm is NaN, which clipping cannot scale.
+    @staticmethod
+    def still_window_trainer(topo17):
+        """A zeroed head on a window that never moves: the forecast lands
+        exactly on every truth joint, so every joint distance is 0."""
         cs, cfg, enc_cfg, disc_cfg = small_setup(topo17)
         from advmt.data import WindowedSample
         from advmt.discriminator import DiscriminatorModel
@@ -157,11 +158,45 @@ class TestTrainStep:
         frame = cs.train.sequences[0].frames[:1]
         still = WindowedSample(input=np.repeat(frame, 50, axis=0),
                                target=np.repeat(frame, 25, axis=0))
-        trainer = Trainer(enc, DiscriminatorModel(disc_cfg, rng), topo17, cfg)
+        return enc, Trainer(enc, DiscriminatorModel(disc_cfg, rng), topo17, cfg), still
+
+    def test_zero_distance_trains_with_finite_gradients(self, topo17):
+        # sqrt's vjp takes a zero subgradient at 0, so a position error at
+        # zero distance no longer divides by zero: not when every joint is hit
+        # (the gradient is then exactly zero), nor when only some are
+        from advmt.data import WindowedSample
+
+        enc, trainer, still = self.still_window_trainer(topo17)
+        target = still.target.copy()
+        target[1:, 1:] += 10.0  # the first frame and joint 0 are still hit exactly
+        partly = WindowedSample(input=still.input, target=target)
+        for sample, mpjpe_is_zero in ((still, True), (partly, False)):
+            before = [p.data.copy() for p in enc.parameters()]
+            with np.errstate(divide="raise", invalid="raise"):
+                breakdown, _ = trainer.train_step([sample])
+            assert (breakdown.mpjpe == 0.0) == mpjpe_is_zero
+            assert np.isfinite(global_grad_norm(enc.parameters()))
+            assert all(np.isfinite(p.data).all() for p in enc.parameters())
+        assert any(not np.array_equal(a, p.data) for a, p in zip(before, enc.parameters()))
+
+    def test_nan_gradient_stops_before_adam_step(self, topo17, monkeypatch):
+        # A backward rule that yields NaN (injected into sqrt's, which the
+        # position error uses) leaves the loss finite but the gradient norm
+        # NaN, which clipping cannot scale.
+        real_sqrt = tensor.sqrt
+
+        def nan_sqrt(x):
+            out = real_sqrt(x)
+            if out._vjp is not None:
+                vjp = out._vjp
+                out._vjp = lambda g: [(p, c * np.nan) for p, c in vjp(g)]
+            return out
+
+        monkeypatch.setattr(tensor, "sqrt", nan_sqrt)
+        enc, trainer, still = self.still_window_trainer(topo17)
         before = [p.data.copy() for p in enc.parameters()]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="non-finite encoder gradient norm"):
-                trainer.train_step([still])
+        with pytest.raises(DivergenceError, match="non-finite encoder gradient norm"):
+            trainer.train_step([still])
         assert all(np.array_equal(a, p.data) for a, p in zip(before, enc.parameters()))
 
 
