@@ -8,6 +8,8 @@ literature. Report CSVs are byte-deterministic for identical inputs.
 
 from __future__ import annotations
 
+import os
+import threading
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -18,7 +20,7 @@ from .data import Corpus, window
 from .errors import ConfigurationError, HorizonError, ReportError
 from .model import EncoderModel, rollout_graph
 from .skeleton import MotionSequence, SkeletonTopology
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, _keep_freed_memory, no_grad
 
 DEFAULT_HORIZONS_MS = (160, 400, 560, 720, 880, 1000)
 
@@ -143,25 +145,68 @@ class EvalReport:
         )
 
 
-# Windows per no-grad rollout chunk. The largest per-chunk buffer is the
-# default encoder's (chunk, 4, 50, 50) float64 attention probabilities: about
-# 640 KB at 8 windows, 5 MB at 64. Buffers of 5 MB went back to the OS when
-# freed and were faulted in again on the next step: a 72-window, 25-frame
-# rollout took 208k minor page faults, 0.5 s of system time and 3.2 s in all
-# at 64, against none and 2.3 s at 8. Rollouts are bitwise equal at any
-# chunk size.
+# Most windows in one no-grad rollout chunk, which bounds each rollout
+# thread's working set. The largest per-chunk buffer is the default encoder's
+# (chunk, 4, 50, 50) float64 attention probabilities: about 640 KB at 8
+# windows, so each thread's buffers stay small and are reused from step to
+# step. Chunks of 12 were faster on two cores but raised the peak RSS of an
+# evaluation by 6 %. Rollouts are bitwise equal at any chunk size.
 ROLLOUT_CHUNK = 8
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _batched_rollout(model: EncoderModel, histories: np.ndarray, l_frames: int) -> np.ndarray:
-    """(W, T, N, 3) -> (W, L, N, 3) without building graphs, ``ROLLOUT_CHUNK`` windows at a time."""
+    """(W, T, N, 3) -> (W, L, N, 3) without building graphs, on every CPU.
+
+    The windows are dealt into near-equal chunks of at most ``ROLLOUT_CHUNK``,
+    as many as a multiple of the CPU count where there are windows enough.
+    With k threads (the caller and k - 1 helpers, at most one per CPU and
+    chunk), thread i rolls out chunks i, i + k, ... into their own slices of
+    the output, so the bytes do not depend on k. The caller holds ``no_grad``
+    around the whole section, joins every helper before it returns or raises,
+    and re-raises the first exception any thread hit.
+    """
+    _keep_freed_memory()
     w, t, n, _ = histories.shape
     out = np.empty((w, l_frames, n, 3))
+    cpus = _cpu_count()
+    chunks = -(-w // ROLLOUT_CHUNK)
+    chunks = min(w, -(-chunks // cpus) * cpus)
+    bounds = [(i * w // chunks, (i + 1) * w // chunks) for i in range(chunks)]
+    k = max(1, min(cpus, chunks))
+    errors = []
+
+    def roll(first):
+        try:
+            for lo, hi in bounds[first::k]:
+                if errors:  # another thread failed: the call raises anyway
+                    return
+                pred = rollout_graph(model, Tensor(histories[lo:hi].reshape(hi - lo, t, 3 * n)),
+                                     l_frames)
+                out[lo:hi] = pred.data.reshape(hi - lo, l_frames, n, 3)
+        except BaseException as exc:  # re-raised by the caller below
+            errors.append(exc)
+
     with no_grad():
-        for start in range(0, w, ROLLOUT_CHUNK):
-            chunk = histories[start : start + ROLLOUT_CHUNK]
-            pred = rollout_graph(model, Tensor(chunk.reshape(len(chunk), t, 3 * n)), l_frames)
-            out[start : start + ROLLOUT_CHUNK] = pred.data.reshape(len(chunk), l_frames, n, 3)
+        helpers = []
+        try:
+            for i in range(1, k):
+                helper = threading.Thread(target=roll, args=(i,))
+                helper.start()
+                helpers.append(helper)
+            roll(0)
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -300,7 +300,6 @@ _SUITE = (
     ("tmean", 1e-6, _inputs(_op(lambda x: x.mean(axis=(0, 2)), (2, 3, 4)),
                             _op(lambda x: x.mean(axis=(1, 2), keepdims=True), (2, 3, 4)))),
     ("reshape", 1e-6, _inputs(_op(lambda x: x.reshape((4, 3)), (2, 6)))),
-    ("swapaxes", 1e-6, _inputs(_op(lambda x: x.swapaxes(0, 2), (2, 3, 4)))),
     # a basic slice, and an index list repeating joint 0 (the np.add.at path)
     ("take", 1e-6, _inputs(_op(lambda x: x[1:, ::2], (3, 5)),
                            _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),

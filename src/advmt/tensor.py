@@ -3,12 +3,19 @@
 Just enough of an autodiff engine to train the motion forecaster: numpy
 holds the buffers, every differentiable op records a vector-Jacobian
 closure, and ``backward`` walks the graph once in topological order.
-Single-threaded by contract; no views beyond contiguous reshape.
+No views beyond contiguous reshape.
+
+Threads: graph building and ``backward`` stay on one thread. Forwards on
+disjoint inputs may run concurrently only without a graph, inside a
+``no_grad`` block that the calling thread holds around the whole
+concurrent section; other threads only read the grad flag.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -29,6 +36,30 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+# A train step frees its whole graph (about 290 MB at batch 8) when it
+# returns, and a no-grad rollout frees each forward's buffers. glibc gives the
+# free top of its heap back to the OS once it exceeds a trim threshold that it
+# adapts to earlier allocations, so whether the next step faults all of it in
+# again (about 100k minor faults, a quarter of a train step) would depend on
+# allocation order alone. Fixed thresholds keep freed memory in the process
+# for the next step; the peak is the same.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters
+_TRIM_THRESHOLD = 1 << 30
+_MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's adaptive threshold on 64-bit
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Fix glibc's malloc thresholds for the process; later calls do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc: nothing to set
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _as_array(values) -> np.ndarray:
@@ -171,9 +202,6 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def swapaxes(self, axis1, axis2):
-        return swapaxes(self, axis1, axis2)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
@@ -335,11 +363,14 @@ LN_EPS = 1e-5
 
 
 def _normalize(x: np.ndarray) -> tuple:
-    """(xhat, std): the last axis at zero mean and unit variance, and its std."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    std = np.sqrt(var + LN_EPS)
-    return (x - mu) / std, std
+    """(xhat, std): the last axis at zero mean and unit variance, and its std.
+    In-place steps on ``x - mean`` give the bytes of ``(x - mu) / sqrt(var + eps)``."""
+    d = x - x.mean(axis=-1, keepdims=True)
+    std = np.square(d).mean(axis=-1, keepdims=True)
+    std += LN_EPS
+    np.sqrt(std, out=std)
+    d /= std
+    return d, std
 
 
 def _normalize_grads(g: np.ndarray, xhat: np.ndarray, std: np.ndarray, gain: np.ndarray) -> tuple:
@@ -557,15 +588,6 @@ def reshape(x, shape) -> Tensor:
         return ((x, g.reshape(old_shape)),)
 
     return Tensor._result(x.data.reshape(shape), (x,), vjp)
-
-
-def swapaxes(x, axis1, axis2) -> Tensor:
-    x = as_tensor(x)
-
-    def vjp(g):
-        return ((x, g.swapaxes(axis1, axis2)),)
-
-    return Tensor._result(x.data.swapaxes(axis1, axis2), (x,), vjp)
 
 
 def _is_basic_index(index) -> bool:

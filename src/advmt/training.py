@@ -9,7 +9,6 @@ randomness.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 import time
@@ -26,7 +25,7 @@ from .errors import ConfigurationError, ContractError, DivergenceError, HorizonE
 from .evaluation import DEFAULT_HORIZONS_MS, _batched_rollout, collect_windows, mpjpe_at_horizon
 from .losses import LossWeights, boundary_deltas, total_loss
 from .model import EncoderConfig, EncoderModel, rollout_graph
-from .tensor import Tensor, global_grad_norm
+from .tensor import Tensor, _keep_freed_memory, global_grad_norm
 
 
 @dataclass
@@ -146,27 +145,6 @@ class TrainLog:
                 row += [f"{r.val_mpjpe[ms]:.17g}" if ms in r.val_mpjpe else "" for ms in horizons]
                 row.append(f"{r.seconds:.3f}")
                 fh.write(",".join(row) + "\n")
-
-
-# A train step frees its whole graph (about 290 MB at batch 8) when it
-# returns. glibc gives the free top of its heap back to the OS once it
-# exceeds a trim threshold that it adapts to earlier allocations, so whether
-# the next step faults all of it in again (about 100k minor faults, a
-# quarter of a step) would depend on allocation order alone. Fixed
-# thresholds keep freed memory in the process for the next step; the peak
-# is the same.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters
-_TRIM_THRESHOLD = 1 << 30
-_MMAP_THRESHOLD = 32 << 20  # the ceiling of glibc's adaptive threshold on 64-bit
-
-
-def _keep_freed_memory():
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # not glibc: nothing to set
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 class Trainer:

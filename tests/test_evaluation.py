@@ -1,13 +1,19 @@
+import sys
+import threading
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from advmt import evaluation, tensor
 from advmt.data import Corpus, CorpusConfig, generate_corpus
 from advmt.errors import ConfigurationError, HorizonError, ReportError
 from advmt.evaluation import (
+    ROLLOUT_CHUNK,
     EvalReport,
     HorizonSet,
+    _batched_rollout,
     ablation_report,
     evaluate,
     horizon_frames,
@@ -17,7 +23,9 @@ from advmt.evaluation import (
     zero_velocity_baseline,
 )
 from advmt.losses import mpjpe
+from advmt.model import EncoderConfig, init_encoder, rollout_graph
 from advmt.skeleton import MotionSequence, temporal_difference
+from advmt.tensor import Tensor, no_grad
 
 
 class TestHorizonFrames:
@@ -190,6 +198,94 @@ class TestEvaluate:
             for action in report.cells[system]:
                 for ms, v in report.cells[system][action].items():
                     assert loaded.value(system, action, ms) == v
+
+
+def tiny_encoder():
+    return init_encoder(EncoderConfig(input_dim=6, num_layers=1, num_heads=2, model_dim=8,
+                                      ff_dim=8, history_len=6), seed=0)
+
+
+def serial_rollout(model, histories, l_frames):
+    """The rollout one thread at a time in consecutive ``ROLLOUT_CHUNK`` chunks."""
+    w, t, n, _ = histories.shape
+    with no_grad():
+        parts = [rollout_graph(model, Tensor(c.reshape(len(c), t, 3 * n)), l_frames).data
+                 for c in (histories[i:i + ROLLOUT_CHUNK] for i in range(0, w, ROLLOUT_CHUNK))]
+    return np.concatenate(parts).reshape(w, l_frames, n, 3)
+
+
+def recording_rollout(monkeypatch):
+    """Record (thread, windows, graph built) for every chunk ``_batched_rollout`` rolls out."""
+    calls = []
+
+    def recorded(model, window, l_frames):
+        out = rollout_graph(model, window, l_frames)
+        calls.append((threading.get_ident(), window.shape[0], out.requires_grad))
+        return out
+
+    monkeypatch.setattr(evaluation, "rollout_graph", recorded)
+    return calls
+
+
+class FailingPose:
+    """Repeats the last frame, slowly, but raises on a chunk holding a window
+    that starts at 999; the other threads are then still at work."""
+
+    config = EncoderConfig(input_dim=6, history_len=6)
+
+    def forward_window(self, x):
+        time.sleep(0.01)
+        if (x.data[:, 0, 0] == 999.0).any():
+            raise ValueError("bad chunk")
+        return x[..., -1, :]
+
+
+class TestBatchedRollout:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("w", [1, 7, 8, 9, 17, 20, 72])
+    def test_bytes_equal_serial_chunks(self, monkeypatch, rng, cpus, w):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus)
+        calls = recording_rollout(monkeypatch)
+        model = tiny_encoder()
+        histories = rng.standard_normal((w, 6, 2, 3))
+        out = _batched_rollout(model, histories, 5)
+        assert out.tobytes() == serial_rollout(model, histories, 5).tobytes()
+        assert len({ident for ident, _, _ in calls}) == min(cpus, w)
+        assert sum(n for _, n, _ in calls) == w
+        assert max(n for _, n, _ in calls) <= ROLLOUT_CHUNK
+
+    def test_more_threads_than_cores_with_fast_switching(self, monkeypatch, rng):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 5)
+        model = tiny_encoder()
+        histories = rng.standard_normal((72, 6, 2, 3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = _batched_rollout(model, histories, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.tobytes() == serial_rollout(model, histories, 5).tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 5], ids=["caller_chunk", "helper_chunk"])
+    def test_error_in_one_chunk_is_raised_after_every_thread_ends(self, monkeypatch, rng, bad):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        histories = rng.standard_normal((20, 6, 2, 3))  # four chunks of 5: 0, 2 on the caller
+        histories[bad, 0, 0, 0] = 999.0
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="bad chunk"):
+            _batched_rollout(FailingPose(), histories, 3)
+        assert threading.active_count() == threads
+        assert tensor._grad_enabled is True
+
+    def test_no_graph_with_grad_enabled(self, monkeypatch, rng):
+        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        calls = recording_rollout(monkeypatch)
+        model = tiny_encoder()
+        assert tensor._grad_enabled and all(p.requires_grad for p in model.parameters())
+        out = _batched_rollout(model, rng.standard_normal((20, 6, 2, 3)), 3)
+        assert isinstance(out, np.ndarray)
+        assert len(calls) == 4 and not any(graph for _, _, graph in calls)
+        assert tensor._grad_enabled is True
 
 
 class TestAblation:
