@@ -166,8 +166,8 @@ def _batched_rollout(model: EncoderModel, histories: np.ndarray, l_frames: int) 
     """(W, T, N, 3) -> (W, L, N, 3) without building graphs, on every CPU.
 
     The windows are dealt into near-equal chunks of at most ``ROLLOUT_CHUNK``,
-    as many as a multiple of the CPU count where there are windows enough.
-    With k threads (the caller and k - 1 helpers, at most one per CPU and
+    as many as a multiple of the CPU count where there are windows enough, so
+    the threads get equal shares. With k threads (the caller and k - 1 helpers, at most one per CPU and
     chunk), thread i rolls out chunks i, i + k, ... into their own slices of
     the output, so the bytes do not depend on k. The caller holds ``no_grad``
     around the whole section, joins every helper before it returns or raises,
