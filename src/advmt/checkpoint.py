@@ -21,6 +21,7 @@ from typing import List
 import numpy as np
 
 from .errors import CheckpointError, ConfigurationError, build_config
+from .fileio import atomic_write
 from .tensor import Tensor
 
 MAGIC = b"MTCK"
@@ -31,7 +32,7 @@ def save(path, kind: str, config: dict, params: List[Tensor]):
     payload = dict(config)
     payload["kind"] = kind
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)

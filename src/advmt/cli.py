@@ -12,6 +12,7 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -38,12 +39,17 @@ from .evaluation import (
     evaluate,
     render_pose_strip,
 )
+from .fileio import atomic_write
 from .gradcheck import run_suite
 from .losses import LossWeights
 from .skeleton import MotionSequence, SkeletonTopology, bone_lengths
 from .training import TrainConfig, fit
 
 LOCK_NAME = ".advmt.lock"
+
+
+def _now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def _build_id() -> str:
@@ -84,8 +90,40 @@ def _resolve_seed(flag_seed, cfg_seed):
     return 0
 
 
+def _pid_running(pid: int) -> bool:
+    """Whether a process ``pid`` exists on this host; one that cannot be signalled counts."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        pass
+    return True
+
+
+def _lock_conflict(out_dir, lock_path) -> str:
+    """Why ``lock_path`` blocks a run in ``out_dir``: its owner, and whether the owner is gone.
+    A lock that cannot be read or names no owner is held all the same."""
+    try:
+        with open(lock_path) as fh:
+            owner = json.load(fh)
+        pid, host, started = owner["pid"], owner["host"], owner["started_at"]
+        if type(pid) is not int or pid < 1:
+            raise ValueError(pid)
+    except (OSError, ValueError, TypeError, KeyError):
+        return f"{out_dir} is locked by another run (its lock {lock_path} names no owner)"
+    message = f"{out_dir} is locked by pid {pid} on host {host}, started at {started}"
+    if host == platform.node() and not _pid_running(pid):
+        message += (f"; no process {pid} runs on this host, so the lock is stale: "
+                    f"remove {os.path.abspath(lock_path)} to clear it")
+    return message
+
+
 class RunDirectory:
-    """Lock + manifest handling for commands that own an output directory."""
+    """Lock + manifest handling for commands that own an output directory.
+
+    The lock file holds its owner's pid, host and start time as JSON, so a
+    refused run can name the owner and tell a stale lock from a held one."""
 
     def __init__(self, out_dir):
         self.out_dir = out_dir
@@ -96,10 +134,14 @@ class RunDirectory:
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise AdvmtError(
-                f"{self.out_dir} is locked by another run (remove {LOCK_NAME} if stale)"
-            ) from None
-        os.close(fd)
+            raise AdvmtError(_lock_conflict(self.out_dir, self.lock_path)) from None
+        try:
+            with open(fd, "w") as fh:
+                json.dump({"pid": os.getpid(), "host": platform.node(),
+                           "started_at": _now()}, fh, sort_keys=True)
+        except BaseException:
+            self.__exit__()
+            raise
         return self
 
     def __exit__(self, *exc):
@@ -117,10 +159,10 @@ class RunDirectory:
             "seed": seed,
             "build": _build_id(),
             "out_dir": os.path.abspath(self.out_dir),
-            "started_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "started_at": _now(),
             "argv": sys.argv[1:],
         }
-        with open(os.path.join(self.out_dir, "run_manifest.json"), "w") as fh:
+        with atomic_write(os.path.join(self.out_dir, "run_manifest.json")) as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 

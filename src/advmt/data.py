@@ -22,6 +22,7 @@ from .errors import (
     InsufficientFramesError,
     RateError,
 )
+from .fileio import atomic_write
 from .skeleton import MotionSequence, SkeletonTopology, forward_kinematics
 
 # Rest-pose bone offsets (mm) for the default skeleton, keyed by child joint.
@@ -205,7 +206,7 @@ def save_csv(seq: MotionSequence, path, joint_names: Sequence[str]):
         )
     flat = seq.frames.reshape(seq.n_frames, -1)
     row_format = ",".join(["%.17g"] * flat.shape[1]) + "\n"
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"# fps={seq.fps} joints={','.join(joint_names)}\n")
         fh.writelines(row_format % tuple(row) for row in flat.tolist())
 
@@ -397,7 +398,7 @@ def write_corpus(corpus_set: CorpusSet, out_dir) -> str:
 
     manifest = {"topology": "skeleton.json", "sequences": entries}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w") as fh:
+    with atomic_write(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest_path

@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import Corpus, window
 from .errors import ConfigurationError, HorizonError, ReportError
+from .fileio import atomic_write
 from .model import EncoderModel, rollout_graph
 from .skeleton import MotionSequence, SkeletonTopology
 from .tensor import Tensor, _keep_freed_memory, no_grad
@@ -108,7 +109,7 @@ class EvalReport:
         return self.cells[system][action][ms]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(f"# horizons_ms={','.join(str(m) for m in self.horizons_ms)}\n")
             fh.write(f"# fps={self.fps}\n")
             fh.write(f"# corpus={self.corpus}\n")
@@ -289,7 +290,7 @@ class AblationTable:
     rows: list  # [(label, [value per horizon])]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("variant,horizon_ms,mpjpe_mm\n")
             for label, values in self.rows:
                 for ms, v in zip(self.horizons_ms, values):

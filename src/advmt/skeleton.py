@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientFramesError, TopologyError
+from .fileio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class SkeletonTopology:
 
     def to_json(self, path):
         payload = {"joint_names": list(self.joint_names), "parent": list(self.parent)}
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
 

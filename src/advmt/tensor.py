@@ -38,11 +38,11 @@ def no_grad():
         _grad_enabled = prev
 
 
-# A train step frees its whole graph (about 290 MB at batch 8) when it
-# returns, and a no-grad rollout frees each forward's buffers. glibc gives the
-# free top of its heap back to the OS once it exceeds a trim threshold that it
-# adapts to earlier allocations, so whether the next step faults all of it in
-# again (about 100k minor faults, a quarter of a train step) would depend on
+# A train step frees its whole graph (the step peaks at about 200 MB at batch
+# 8) when it returns, and a no-grad rollout frees each forward's buffers. glibc
+# gives the free top of its heap back to the OS once it exceeds a trim
+# threshold that it adapts to earlier allocations, so whether the next step
+# faults all of it in again (a minor fault per 4 KB page) would depend on
 # allocation order alone. Fixed thresholds keep freed memory in the process
 # for the next step; the peak is the same.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters
@@ -362,13 +362,16 @@ def linear(x, W, b) -> Tensor:
 LN_EPS = 1e-5
 
 
-def _normalize(x: np.ndarray) -> tuple:
+def _normalize(x: np.ndarray, std=None) -> tuple:
     """(xhat, std): the last axis at zero mean and unit variance, and its std.
-    In-place steps on ``x - mean`` give the bytes of ``(x - mu) / sqrt(var + eps)``."""
+    In-place steps on ``x - mean`` give the bytes of ``(x - mu) / sqrt(var + eps)``.
+    Given the ``std`` an earlier call returned for the same ``x``, only xhat is
+    rebuilt, with the same steps and so the same bytes."""
     d = x - x.mean(axis=-1, keepdims=True)
-    std = np.square(d).mean(axis=-1, keepdims=True)
-    std += LN_EPS
-    np.sqrt(std, out=std)
+    if std is None:
+        std = np.square(d).mean(axis=-1, keepdims=True)
+        std += LN_EPS
+        np.sqrt(std, out=std)
     d /= std
     return d, std
 
@@ -407,9 +410,12 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     their (..., rows, D). The probabilities, (..., H, Tq, T), go to
     ``collect`` (a list) when given.
 
-    The node keeps xhat and std of the norm, q, k, v, the probabilities and
-    the merged context; backward recomputes ``h`` from xhat. The numpy
-    expressions and the gradient summation order are those of the
+    The node keeps only the probabilities and the norm's (..., T, 1) std.
+    Backward rebuilds xhat, ``h``, q, k, v and the merged context from the
+    input and the parameters with the forward's own expressions, so they
+    hold the forward's bytes; it reads the arrays the forward read, bound
+    when the node is built, even if a ``.data`` is rebound in between.
+    The numpy expressions and the gradient summation order are those of the
     ``layer_norm``, ``linear``, ``take``, ``attention``, ``linear``,
     ``add`` chain kept as the oracle in the tests: the gradient at ``h`` is
     (q-path + k-path) + v-path, the q-path scattered into zeros first when
@@ -426,7 +432,10 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     if rows is not None and not 1 <= rows <= t:
         raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {x.shape}")
     gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
+    x_d = x.data
+    gain_d, bias_d, wq_d, bq_d, wk_d, bk_d, wv_d, bv_d, wo_d, bo_d = (p.data for p in params)
     scale = 1.0 / math.sqrt(d // heads)
+    q_shape = x.shape[:-2] + (t if rows is None else rows, d)
 
     def heads_of(a):  # (..., T, D) -> (..., H, T, D/H)
         return a.reshape(a.shape[:-1] + (heads, d // heads)).swapaxes(-3, -2)
@@ -437,11 +446,13 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     def queried(a):  # the rows that query
         return a if rows is None else a[..., -rows:, :]
 
-    xhat, std = _normalize(x.data)
-    h = xhat * gain.data + bias.data
-    q = _affine(queried(h), wq.data, bq.data)
-    k, v = _affine(h, wk.data, bk.data), _affine(h, wv.data, bv.data)
-    qh, kh, vh = heads_of(q), heads_of(k), heads_of(v)
+    def projected(xhat):  # the norm output h and the heads of q, k and v
+        h = xhat * gain_d + bias_d
+        q = _affine(queried(h), wq_d, bq_d)
+        return h, heads_of(q), heads_of(_affine(h, wk_d, bk_d)), heads_of(_affine(h, wv_d, bv_d))
+
+    xhat, std = _normalize(x_d)
+    h, qh, kh, vh = projected(xhat)
     probs = qh @ kh.swapaxes(-1, -2)
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)
@@ -449,33 +460,34 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     probs /= probs.sum(axis=-1, keepdims=True)
     if collect is not None:
         collect.append(probs)
-    ctx = merged(probs @ vh, q.shape)
-    out = queried(x.data) + _affine(ctx, wo.data, bo.data)
+    out = queried(x_d) + _affine(merged(probs @ vh, q_shape), wo_d, bo_d)
+    del xhat, h, qh, kh, vh
 
     def vjp(g):  # in-place steps and early ``del``s keep few temporaries alive
-        gctx, gwo, gbo = _affine_grads(ctx, wo.data, bo.data, g)
+        xhat, _ = _normalize(x_d, std)
+        h, qh, kh, vh = projected(xhat)
+        gctx, gwo, gbo = _affine_grads(merged(probs @ vh, q_shape), wo_d, bo_d, g)
         gctx = heads_of(gctx)
         gv = probs.swapaxes(-1, -2) @ gctx
         gscores = gctx @ vh.swapaxes(-1, -2)  # the probabilities' gradient, for now
-        del gctx
+        del gctx, vh
         gscores -= (gscores * probs).sum(axis=-1, keepdims=True)
         gscores *= probs
         gscores *= scale
-        h = xhat * gain.data + bias.data
         hq = queried(h)
         gq = merged(gscores @ kh, hq.shape)
         gk = merged((qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2), h.shape)
-        del gscores
-        gh, gwq, gbq = _affine_grads(hq, wq.data, bq.data, gq)
+        del gscores, qh, kh
+        gh, gwq, gbq = _affine_grads(hq, wq_d, bq_d, gq)
         if rows is not None:  # the chain's ``take`` nodes scatter into zeros
             gh, g = _scattered(gh, h.shape, rows), _scattered(g, h.shape, rows)
-        ghk, gwk, gbk = _affine_grads(h, wk.data, bk.data, gk)
+        ghk, gwk, gbk = _affine_grads(h, wk_d, bk_d, gk)
         gh += ghk
         del gq, gk, ghk
-        ghv, gwv, gbv = _affine_grads(h, wv.data, bv.data, merged(gv, h.shape))
+        ghv, gwv, gbv = _affine_grads(h, wv_d, bv_d, merged(gv, h.shape))
         gh += ghv
-        del gv, ghv
-        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain.data)
+        del gv, ghv, h, hq
+        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
         gx += g
         return ((x, gx), (gain, ggain), (bias, gbias), (wq, gwq), (bq, gbq),
                 (wk, gwk), (bk, gbk), (wv, gwv), (bv, gbv), (wo, gwo), (bo, gbo))

@@ -23,6 +23,7 @@ from .data import CorpusSet
 from .discriminator import DiscriminatorConfig, DiscriminatorModel, discriminator_loss
 from .errors import ConfigurationError, ContractError, DivergenceError, HorizonError, build_config
 from .evaluation import DEFAULT_HORIZONS_MS, _batched_rollout, collect_windows, mpjpe_at_horizon
+from .fileio import atomic_write
 from .losses import LossWeights, boundary_deltas, total_loss
 from .model import EncoderConfig, EncoderModel, rollout_graph
 from .tensor import Tensor, _keep_freed_memory, global_grad_norm
@@ -133,7 +134,7 @@ class TrainLog:
 
     def to_csv(self, path):
         horizons = sorted({ms for r in self.records for ms in r.val_mpjpe})
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             cols = ["epoch", "mpjpe", "bone", "adversarial", "total", "disc_loss"]
             cols += [f"val_mpjpe_{ms}" for ms in horizons]
             cols.append("seconds")

@@ -1,4 +1,8 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +90,58 @@ class TestGenerate:
         out.mkdir()
         (out / cli.LOCK_NAME).write_text("")
         assert run("generate", "--config", str(cfg), "--out", str(out)) == 2
+
+
+class TestLock:
+    def generate_into(self, tmp_path, lock):
+        """Run ``generate`` into a directory that already holds ``lock``; returns the error."""
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(GEN_CFG))
+        out = tmp_path / "busy"
+        out.mkdir()
+        (out / cli.LOCK_NAME).write_text(lock if isinstance(lock, str) else json.dumps(lock))
+        return run("generate", "--config", str(cfg), "--out", str(out)), out
+
+    def test_lock_names_its_owner(self, tmp_path):
+        with cli.RunDirectory(str(tmp_path / "run")) as rd:
+            owner = json.loads(open(rd.lock_path).read())
+        assert owner["pid"] == os.getpid() and owner["host"] == platform.node()
+        assert owner["started_at"]
+        assert not (tmp_path / "run" / cli.LOCK_NAME).exists()
+
+    def test_live_owner_is_held(self, tmp_path, capsys):
+        owner = {"pid": os.getpid(), "host": platform.node(), "started_at": "t0"}
+        code, out = self.generate_into(tmp_path, owner)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"locked by pid {os.getpid()} on host {platform.node()}, started at t0" in err
+        assert "stale" not in err
+        assert (out / cli.LOCK_NAME).exists()
+
+    def test_dead_owner_on_this_host_is_stale(self, tmp_path, capsys):
+        pid = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                             capture_output=True, text=True, check=True).stdout.strip()
+        owner = {"pid": int(pid), "host": platform.node(), "started_at": "t0"}
+        code, out = self.generate_into(tmp_path, owner)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"locked by pid {pid}" in err
+        assert f"the lock is stale: remove {out / cli.LOCK_NAME} to clear it" in err
+        assert (out / cli.LOCK_NAME).exists()  # reported, not removed
+
+    def test_owner_on_another_host_is_held(self, tmp_path, capsys):
+        owner = {"pid": 2**22 + 1, "host": platform.node() + "-other", "started_at": "t0"}
+        assert self.generate_into(tmp_path, owner)[0] == 2
+        assert "stale" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lock", ["", "{not json", "[1]", json.dumps({"pid": "7"}),
+                                      json.dumps({"pid": 0, "host": "h", "started_at": "t"})])
+    def test_lock_without_owner_is_held(self, tmp_path, capsys, lock):
+        code, out = self.generate_into(tmp_path, lock)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"its lock {out / cli.LOCK_NAME} names no owner" in err
+        assert "stale" not in err
 
 
 class TestTrain:

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from advmt import tensor
 from advmt.errors import ContractError, DimensionError
 from advmt.gradcheck import central_difference, relative_error
-from advmt.model import EncoderConfig, EncoderModel
+from advmt.model import EncoderConfig, EncoderModel, rollout_graph
 from advmt.tensor import (Tensor, as_tensor, attention_block, concat, feed_forward_block, linear,
                           matmul, stack)
 
@@ -385,6 +386,155 @@ class TestFusedOps:
         fused = values_and_grads(lambda *a: feed_forward_block(*a) * c, x, *params)
         chain = values_and_grads(lambda *a: feed_forward_chain(*a) * c, x, *params)
         assert_bitwise(fused, chain)
+
+
+def closure_values(fn):
+    """Everything ``fn``'s closure holds, through nested closures, tuples and lists."""
+    todo, seen = [fn], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if callable(obj) and getattr(obj, "__closure__", None) is not None:
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        else:
+            yield obj
+
+
+def graph_held_bytes(out) -> int:
+    """Bytes of the distinct buffers a graph keeps alive: every node's data
+    and every array or tensor its vjp closure holds, views counted once."""
+    buffers, seen, todo = {}, {id(out)}, [out]
+
+    def hold(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        buffers[id(a)] = a
+
+    while todo:
+        node = todo.pop()
+        hold(node.data)
+        if node._vjp is not None:
+            for v in closure_values(node._vjp):
+                if isinstance(v, (Tensor, np.ndarray)):
+                    hold(v.data if isinstance(v, Tensor) else v)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return sum(a.nbytes for a in buffers.values())
+
+
+class TestAttentionRecompute:
+    """``attention_block`` keeps only the probabilities and std for backward
+    and rebuilds the rest from the arrays the forward read."""
+
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_node_keeps_only_probabilities_and_std(self, rng, rows):
+        x = Tensor(rng.standard_normal((8, 50, 64)), requires_grad=True)
+        params = [Tensor(p, requires_grad=True) for p in attention_params(rng, 64)]
+        probs = []
+        out = attention_block(x, *params, 4, rows=rows, collect=probs)
+        parents = (x, *params)
+        extra = []
+        for v in closure_values(out._vjp):
+            if isinstance(v, Tensor):
+                assert any(v is p for p in parents)
+            elif isinstance(v, np.ndarray) and not any(v is p.data for p in parents):
+                extra.append(v)
+        assert sorted((a.shape for a in extra), key=len) == [(8, 50, 1), probs[0].shape]
+        assert any(a is probs[0] for a in extra)
+
+    @pytest.mark.parametrize("rebound", ["wq", "x"])
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_rebinding_data_after_forward_keeps_gradients(self, rng, rebound, rows):
+        arrays = [rng.standard_normal((2, 6, 8))] + attention_params(rng, 8)
+        c = rng.standard_normal((2, 6 if rows is None else rows, 8))
+
+        def grads(rebind):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            loss = (attention_block(*leaves, 2, rows=rows) * c).sum()
+            if rebind:
+                target = leaves[0 if rebound == "x" else 3]
+                target.data = target.data + 1.0
+            loss.backward()
+            return [t.grad for t in leaves]
+
+        assert_bitwise(grads(True), grads(False))
+
+    def test_rollout_graph_held_bytes(self):
+        """Pinned so a stored activation coming back fails. A batch-8,
+        25-frame rollout of the default encoder held 345,943,848 bytes with
+        one node per op, 243,748,648 once each half-block was one node that
+        kept the norm's xhat, q, k, v and the merged context, and now, with
+        attention keeping only its probabilities and std, 151,179,048."""
+        enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
+        out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
+        assert graph_held_bytes(out) == 151_179_048
+
+
+class TestBroadcastAndReduceRules:
+    """The broadcast and reduction rules against explicit references. Values
+    are small integers, so every sum is exact in any order."""
+
+    @staticmethod
+    def ints(draw, shape):
+        return draw(hnp.arrays(np.float64, shape, elements=st.integers(-8, 8).map(float)))
+
+    @staticmethod
+    def summed_into(g, shape):
+        """``g`` summed onto ``shape`` through an index map: each element of an
+        array of ``shape``, broadcast to ``g``'s shape, collects what lands on it."""
+        index = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), g.shape)
+        return np.bincount(index.ravel(), weights=g.ravel(), minlength=math.prod(shape)) \
+            .reshape(shape)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), op=st.sampled_from(["add", "sub", "mul"]),
+           shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_side=0, max_side=4))
+    def test_elementwise_broadcast(self, data, op, shapes):
+        (sa, sb), out_shape = shapes.input_shapes, shapes.result_shape
+        a, b = self.ints(data.draw, sa), self.ints(data.draw, sb)
+        g = self.ints(data.draw, out_shape)
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        out = getattr(tensor, op)(ta, tb)
+        (out * Tensor(g)).sum().backward()
+        fa, fb = np.broadcast_to(a, out_shape), np.broadcast_to(b, out_shape)
+        value, ga, gb = {"add": (fa + fb, g, g), "sub": (fa - fb, g, -g),
+                         "mul": (fa * fb, g * fb, g * fa)}[op]
+        assert out.shape == out_shape and np.array_equal(out.data, value)
+        assert ta.grad.shape == sa and np.array_equal(ta.grad, self.summed_into(ga, sa))
+        assert tb.grad.shape == sb and np.array_equal(tb.grad, self.summed_into(gb, sb))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), op=st.sampled_from(["tsum", "tmean"]), keepdims=st.booleans(),
+           shape=hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=4))
+    def test_reductions(self, data, op, keepdims, shape):
+        axis = data.draw(st.none() | hnp.valid_tuple_axes(len(shape))
+                         | (st.integers(-len(shape), len(shape) - 1) if shape else st.nothing()))
+        x = self.ints(data.draw, shape)
+        axes = tuple(range(len(shape))) if axis is None else \
+            tuple(a % len(shape) for a in (axis if isinstance(axis, tuple) else (axis,)))
+        kept = tuple(1 if i in axes else n for i, n in enumerate(shape))
+        out_shape = kept if keepdims else tuple(n for i, n in enumerate(shape) if i not in axes)
+        count = math.prod(shape[i] for i in axes)
+        # each input element's position in the kept-dims output
+        index = np.ravel_multi_index(
+            tuple(np.zeros_like(ix) if i in axes else ix
+                  for i, ix in enumerate(np.indices(shape))), kept) if shape else np.zeros((), int)
+        sums = np.bincount(np.ravel(index), weights=x.ravel(), minlength=math.prod(kept))
+        g = self.ints(data.draw, out_shape)
+        t = Tensor(x, requires_grad=True)
+        out = getattr(tensor, op)(t, axis=axis, keepdims=keepdims)
+        (out * Tensor(g)).sum().backward()
+        scale = 1.0 if op == "tsum" else count
+        assert out.shape == out_shape
+        assert np.array_equal(out.data, (sums / scale).reshape(out_shape))
+        assert t.grad.shape == shape
+        assert np.array_equal(t.grad, np.ravel(g)[index] / scale)
 
 
 class TestLayerNorm:
