@@ -94,7 +94,8 @@ class TestGenerate:
 
 class TestLock:
     def generate_into(self, tmp_path, lock):
-        """Run ``generate`` into a directory that already holds ``lock``; returns the error."""
+        """Run ``generate`` into a directory that already holds ``lock``; returns the
+        exit code and the directory."""
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps(GEN_CFG))
         out = tmp_path / "busy"
@@ -104,7 +105,8 @@ class TestLock:
 
     def test_lock_names_its_owner(self, tmp_path):
         with cli.RunDirectory(str(tmp_path / "run")) as rd:
-            owner = json.loads(open(rd.lock_path).read())
+            with open(rd.lock_path) as fh:
+                owner = json.load(fh)
         assert owner["pid"] == os.getpid() and owner["host"] == platform.node()
         assert owner["started_at"]
         assert not (tmp_path / "run" / cli.LOCK_NAME).exists()
