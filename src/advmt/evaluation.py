@@ -391,5 +391,6 @@ def render_pose_strip(
     else:
         svg.set("viewBox", "0 0 100 100")
 
-    ET.ElementTree(svg).write(path, encoding="unicode", xml_declaration=True)
+    with atomic_write(path, "wb") as fh:  # utf-8 bytes, as a path given to ``write`` gets
+        ET.ElementTree(svg).write(fh, encoding="utf-8", xml_declaration=True)
     return str(path)

@@ -38,7 +38,7 @@ def no_grad():
         _grad_enabled = prev
 
 
-# A train step frees its whole graph (the step peaks at about 200 MB at batch
+# A train step frees its whole graph (the step peaks at about 110 MB at batch
 # 8) when it returns, and a no-grad rollout frees each forward's buffers. glibc
 # gives the free top of its heap back to the OS once it exceeds a trim
 # threshold that it adapts to earlier allocations, so whether the next step
@@ -377,15 +377,20 @@ def _normalize(x: np.ndarray, std=None) -> tuple:
 
 
 def _normalize_grads(g: np.ndarray, xhat: np.ndarray, std: np.ndarray, gain: np.ndarray) -> tuple:
-    """(gx, ggain, gbias) of the layer norm ``xhat * gain + bias`` at cotangent ``g``."""
-    gxhat = g * gain
-    gx = (
-        gxhat
-        - gxhat.mean(axis=-1, keepdims=True)
-        - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-    ) / std
+    """(gx, ggain, gbias) of the layer norm ``xhat * gain + bias`` at cotangent ``g``.
+    The steps are the ufuncs of ``(gxhat - gxhat.mean(-1) - xhat * (gxhat *
+    xhat).mean(-1)) / std`` with ``gxhat = g * gain``, on the same operands in
+    the same order, written into two temporaries, so the bytes are the same."""
+    gx = g * gain
+    tmp = gx * xhat
+    m = tmp.mean(axis=-1, keepdims=True)
+    gx -= gx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m, out=tmp)
+    gx -= tmp
+    gx /= std
     reduce_axes = tuple(range(g.ndim - 1))
-    return gx, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+    np.multiply(g, xhat, out=tmp)
+    return gx, tmp.sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
 
 def _check_block(op: str, x: Tensor, params: tuple, shapes: list):
@@ -410,11 +415,11 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     their (..., rows, D). The probabilities, (..., H, Tq, T), go to
     ``collect`` (a list) when given.
 
-    The node keeps only the probabilities and the norm's (..., T, 1) std.
-    Backward rebuilds xhat, ``h``, q, k, v and the merged context from the
-    input and the parameters with the forward's own expressions, so they
-    hold the forward's bytes; it reads the arrays the forward read, bound
-    when the node is built, even if a ``.data`` is rebound in between.
+    The node keeps only the norm's (..., T, 1) std. Backward rebuilds xhat,
+    ``h``, q, k, v, the probabilities and the merged context from the input
+    and the parameters with the forward's own helpers, so they hold the
+    forward's bytes; it reads the arrays the forward read, bound when the
+    node is built, even if a ``.data`` is rebound in between.
     The numpy expressions and the gradient summation order are those of the
     ``layer_norm``, ``linear``, ``take``, ``attention``, ``linear``,
     ``add`` chain kept as the oracle in the tests: the gradient at ``h`` is
@@ -451,21 +456,26 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
         q = _affine(queried(h), wq_d, bq_d)
         return h, heads_of(q), heads_of(_affine(h, wk_d, bk_d)), heads_of(_affine(h, wv_d, bv_d))
 
+    def softmax(qh, kh):  # the probabilities, (..., H, Tq, T)
+        probs = qh @ kh.swapaxes(-1, -2)
+        probs *= scale
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return probs
+
     xhat, std = _normalize(x_d)
     h, qh, kh, vh = projected(xhat)
-    probs = qh @ kh.swapaxes(-1, -2)
-    probs *= scale
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = softmax(qh, kh)
     if collect is not None:
         collect.append(probs)
     out = queried(x_d) + _affine(merged(probs @ vh, q_shape), wo_d, bo_d)
-    del xhat, h, qh, kh, vh
+    del xhat, h, qh, kh, vh, probs
 
     def vjp(g):  # in-place steps and early ``del``s keep few temporaries alive
         xhat, _ = _normalize(x_d, std)
         h, qh, kh, vh = projected(xhat)
+        probs = softmax(qh, kh)
         gctx, gwo, gbo = _affine_grads(merged(probs @ vh, q_shape), wo_d, bo_d, g)
         gctx = heads_of(gctx)
         gv = probs.swapaxes(-1, -2) @ gctx
@@ -506,12 +516,14 @@ def feed_forward_block(x, gain, bias, w1, b1, w2, b2) -> Tensor:
     """The pre-norm feed-forward half-block ``x + relu(LN(x) @ w1 + b1) @ w2 + b2``
     as one node, on (..., T, D).
 
-    The node keeps xhat and std of the norm and the (..., T, F) relu
-    output; backward recomputes the norm output and the relu mask from them.
-    The numpy expressions and summation order are those of the
-    ``layer_norm``, ``linear``, ``relu``, ``linear``, ``add`` chain kept as
-    the oracle in the tests (the input gradient is residual + norm path), so
-    values and gradients equal the chain's bit for bit.
+    The node keeps only the norm's (..., T, 1) std. Backward rebuilds xhat,
+    the norm output and the (..., T, F) relu output from the input and the
+    parameters with the forward's own helpers, reading the arrays bound when
+    the node is built, as ``attention_block`` does. The numpy expressions and
+    summation order are those of the ``layer_norm``, ``linear``, ``relu``,
+    ``linear``, ``add`` chain kept as the oracle in the tests (the input
+    gradient is residual + norm path), so values and gradients equal the
+    chain's bit for bit.
     """
     x = as_tensor(x)
     params = tuple(as_tensor(p) for p in (gain, bias, w1, b1, w2, b2))
@@ -519,17 +531,27 @@ def feed_forward_block(x, gain, bias, w1, b1, w2, b2) -> Tensor:
     f = params[2].shape[-1] if params[2].ndim == 2 else None
     _check_block("feed_forward_block", x, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
     gain, bias, w1, b1, w2, b2 = params
-    xhat, std = _normalize(x.data)
-    r = _affine(xhat * gain.data + bias.data, w1.data, b1.data)
-    _relu(r, out=r)
-    out = x.data + _affine(r, w2.data, b2.data)
+    x_d = x.data
+    gain_d, bias_d, w1_d, b1_d, w2_d, b2_d = (p.data for p in params)
+
+    def hidden(xhat):  # the norm output h and the relu output r
+        h = xhat * gain_d + bias_d
+        r = _affine(h, w1_d, b1_d)
+        return h, _relu(r, out=r)
+
+    xhat, std = _normalize(x_d)
+    r = hidden(xhat)[1]
+    out = x_d + _affine(r, w2_d, b2_d)
 
     def vjp(g):
-        gr, gw2, gb2 = _affine_grads(r, w2.data, b2.data, g)
+        xhat, _ = _normalize(x_d, std)
+        h, r = hidden(xhat)
+        gr, gw2, gb2 = _affine_grads(r, w2_d, b2_d, g)
         gr *= r > 0  # the relu's mask: r > 0 exactly where its input is
-        gh, gw1, gb1 = _affine_grads(xhat * gain.data + bias.data, w1.data, b1.data, gr)
-        del gr
-        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain.data)
+        del r
+        gh, gw1, gb1 = _affine_grads(h, w1_d, b1_d, gr)
+        del gr, h
+        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
         gx += g
         return ((x, gx), (gain, ggain), (bias, gbias), (w1, gw1), (b1, gb1), (w2, gw2),
                 (b2, gb2))

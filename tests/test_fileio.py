@@ -1,10 +1,13 @@
 import os
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from advmt import checkpoint
+from advmt.evaluation import render_pose_strip
 from advmt.fileio import atomic_write
+from advmt.skeleton import MotionSequence
 from advmt.tensor import Tensor
 
 
@@ -56,3 +59,23 @@ class TestAtomicWrite:
             checkpoint.save(path, "encoder", {"a": 2}, params + [Unreadable()])
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["encoder.ckpt"]
+
+    def test_pose_strip_write_that_raises_keeps_old_strip(self, tmp_path, topo17, rng,
+                                                          monkeypatch):
+        path = tmp_path / "strip.svg"
+        render_pose_strip([MotionSequence(frames=rng.standard_normal((10, 17, 3)), fps=25)],
+                          topo17, path)
+        old = path.read_bytes()
+        write = ET.ElementTree.write
+
+        def write_then_raise(self, fh, **kwargs):  # the whole new strip, then a crash
+            write(self, fh, **kwargs)
+            fh.flush()
+            raise Crash
+
+        monkeypatch.setattr(ET.ElementTree, "write", write_then_raise)
+        with pytest.raises(Crash):
+            render_pose_strip([MotionSequence(frames=rng.standard_normal((10, 17, 3)), fps=25)],
+                              topo17, path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["strip.svg"]

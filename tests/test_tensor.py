@@ -428,52 +428,80 @@ def graph_held_bytes(out) -> int:
     return sum(a.nbytes for a in buffers.values())
 
 
+def held_beyond_parents(out, parents) -> list:
+    """The arrays ``out``'s vjp closure holds besides its parents and their data."""
+    extra = []
+    for v in closure_values(out._vjp):
+        if isinstance(v, Tensor):
+            assert any(v is p for p in parents)
+        elif isinstance(v, np.ndarray) and not any(v is p.data for p in parents):
+            extra.append(v)
+    return extra
+
+
+def grads_with_rebinding(forward, arrays, index):
+    """Leaf gradients of ``forward(*leaves).sum()``, with leaf ``index``'s
+    ``.data`` rebound to other values between forward and backward."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    loss = forward(*leaves).sum()
+    if index is not None:
+        leaves[index].data = leaves[index].data + 1.0
+    loss.backward()
+    return [t.grad for t in leaves]
+
+
 class TestAttentionRecompute:
-    """``attention_block`` keeps only the probabilities and std for backward
-    and rebuilds the rest from the arrays the forward read."""
+    """``attention_block`` keeps only the norm's std for backward and rebuilds
+    the rest from the arrays the forward read."""
 
     @pytest.mark.parametrize("rows", [None, 2])
-    def test_node_keeps_only_probabilities_and_std(self, rng, rows):
+    def test_node_keeps_only_std(self, rng, rows):
         x = Tensor(rng.standard_normal((8, 50, 64)), requires_grad=True)
         params = [Tensor(p, requires_grad=True) for p in attention_params(rng, 64)]
-        probs = []
-        out = attention_block(x, *params, 4, rows=rows, collect=probs)
-        parents = (x, *params)
-        extra = []
-        for v in closure_values(out._vjp):
-            if isinstance(v, Tensor):
-                assert any(v is p for p in parents)
-            elif isinstance(v, np.ndarray) and not any(v is p.data for p in parents):
-                extra.append(v)
-        assert sorted((a.shape for a in extra), key=len) == [(8, 50, 1), probs[0].shape]
-        assert any(a is probs[0] for a in extra)
+        out = attention_block(x, *params, 4, rows=rows, collect=[])
+        assert [a.shape for a in held_beyond_parents(out, (x, *params))] == [(8, 50, 1)]
 
     @pytest.mark.parametrize("rebound", ["wq", "x"])
     @pytest.mark.parametrize("rows", [None, 2])
     def test_rebinding_data_after_forward_keeps_gradients(self, rng, rebound, rows):
         arrays = [rng.standard_normal((2, 6, 8))] + attention_params(rng, 8)
         c = rng.standard_normal((2, 6 if rows is None else rows, 8))
-
-        def grads(rebind):
-            leaves = [Tensor(a, requires_grad=True) for a in arrays]
-            loss = (attention_block(*leaves, 2, rows=rows) * c).sum()
-            if rebind:
-                target = leaves[0 if rebound == "x" else 3]
-                target.data = target.data + 1.0
-            loss.backward()
-            return [t.grad for t in leaves]
-
-        assert_bitwise(grads(True), grads(False))
+        forward = lambda *leaves: attention_block(*leaves, 2, rows=rows) * c
+        index = 0 if rebound == "x" else 3
+        assert_bitwise(grads_with_rebinding(forward, arrays, index),
+                       grads_with_rebinding(forward, arrays, None))
 
     def test_rollout_graph_held_bytes(self):
         """Pinned so a stored activation coming back fails. A batch-8,
         25-frame rollout of the default encoder held 345,943,848 bytes with
         one node per op, 243,748,648 once each half-block was one node that
-        kept the norm's xhat, q, k, v and the merged context, and now, with
-        attention keeping only its probabilities and std, 151,179,048."""
+        kept the norm's xhat, q, k, v and the merged context, 151,179,048
+        with attention keeping only its probabilities and std, and now, with
+        both block nodes keeping only their norm's std, 55,844,648."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
-        assert graph_held_bytes(out) == 151_179_048
+        assert graph_held_bytes(out) == 55_844_648
+
+
+class TestFeedForwardRecompute:
+    """``feed_forward_block`` keeps only the norm's std for backward and
+    rebuilds xhat, the norm output and the relu output from the arrays the
+    forward read."""
+
+    def test_node_keeps_only_std(self, rng):
+        x = Tensor(rng.standard_normal((8, 50, 64)), requires_grad=True)
+        params = [Tensor(p, requires_grad=True) for p in feed_forward_params(rng, 64, 128)]
+        out = feed_forward_block(x, *params)
+        assert [a.shape for a in held_beyond_parents(out, (x, *params))] == [(8, 50, 1)]
+
+    @pytest.mark.parametrize("rebound", ["w1", "x"])
+    def test_rebinding_data_after_forward_keeps_gradients(self, rng, rebound):
+        arrays = [rng.standard_normal((2, 6, 8))] + feed_forward_params(rng, 8, 12)
+        c = rng.standard_normal((2, 6, 8))
+        forward = lambda *leaves: feed_forward_block(*leaves) * c
+        index = 0 if rebound == "x" else 3
+        assert_bitwise(grads_with_rebinding(forward, arrays, index),
+                       grads_with_rebinding(forward, arrays, None))
 
 
 class TestBroadcastAndReduceRules:
