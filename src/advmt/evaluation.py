@@ -332,7 +332,6 @@ def render_pose_strip(
     path,
     drop_axis: str = "y",
     frame_step: int = 5,
-    colors: Sequence[str] = _STRIP_COLORS,
 ) -> str:
     """Draw stick figures frame-by-frame into an SVG file.
 
@@ -366,7 +365,7 @@ def render_pose_strip(
     svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg")
     placed = []
     for s_idx, slot, pts in projected:
-        color = colors[s_idx % len(colors)]
+        color = _STRIP_COLORS[s_idx % len(_STRIP_COLORS)]
         xs = pts[:, 0] + slot * spacing
         ys = -pts[:, 1]  # SVG y grows downward
         placed.append(np.stack([xs, ys], axis=1))

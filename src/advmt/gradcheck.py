@@ -303,7 +303,6 @@ _SUITE = (
     # a basic slice, and an index list repeating joint 0 (the np.add.at path)
     ("take", 1e-6, _inputs(_op(lambda x: x[1:, ::2], (3, 5)),
                            _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),
-    ("stack", 1e-6, _inputs(_op(lambda a, b: tensor.stack([a, b], axis=1), (2, 3), (2, 3)))),
     ("concat", 1e-6, _inputs(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
     ("linear", 1e-6, _inputs(_op("linear", (2, 3, 5), (5, 4), (4,)))),
     ("attention_block", 1e-6, _inputs(

@@ -128,9 +128,5 @@ def total_loss(
     else:
         adv_value = 0.0
 
-    return total, LossBreakdown(
-        mpjpe=position.item(),
-        bone=bone.item(),
-        adversarial=adv_value,
-        total=total.item(),
-    )
+    return total, LossBreakdown(mpjpe=position.item(), bone=bone.item(),
+                                adversarial=adv_value, total=total.item())

@@ -264,7 +264,7 @@ class EncoderModel:
             h = layer(h, collect=collect_attention)
         h = self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS)
         last = h[..., -1:, :]  # keep rank for the head projection
-        return last_frame[..., 0, :] + self.head(last)[..., 0, :] * self.delta_scale
+        return (last_frame + self.head(last) * self.delta_scale)[..., 0, :]
 
 
 def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderModel:
@@ -294,13 +294,12 @@ def rollout_graph(model: EncoderModel, window: Tensor, l_frames: int) -> Tensor:
     """
     if l_frames < 1:
         raise ContractError(f"l_frames must be >= 1, got {l_frames}")
-    steps = []
+    frames = []
     for _ in range(l_frames):
         pred = model.forward_window(window)  # (..., 3N)
-        steps.append(pred)
-        frame = pred.reshape(pred.shape[:-1] + (1, pred.shape[-1]))
-        window = tensor.concat([window[..., 1:, :], frame], axis=-2)
-    return tensor.stack(steps, axis=-2)
+        frames.append(pred.reshape(pred.shape[:-1] + (1, pred.shape[-1])))
+        window = tensor.concat([window[..., 1:, :], frames[-1]], axis=-2)
+    return tensor.concat(frames, axis=-2)
 
 
 def rollout(model: EncoderModel, history, l_frames: int) -> np.ndarray:

@@ -128,9 +128,6 @@ class MotionSequence:
     def joint_count(self) -> int:
         return self.frames.shape[1]
 
-    def pose_at(self, t: int) -> Pose:
-        return Pose(self.frames[t])
-
 
 def bone_lengths(pose, topo: SkeletonTopology) -> np.ndarray:
     """(..., N, 3) joints -> (..., N-1) bone lengths, order matching ``topo.bones``."""

@@ -645,22 +645,6 @@ def take(x, index) -> Tensor:
     return Tensor._result(x.data[index], (x,), vjp)
 
 
-def stack(tensors: Sequence, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ContractError("stack requires at least one tensor")
-    first = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != first:
-            raise DimensionError(f"stack: shapes {first} and {t.shape} differ")
-
-    def vjp(g):
-        parts = np.moveaxis(g, axis, 0)
-        return tuple((t, parts[i].copy()) for i, t in enumerate(tensors))
-
-    return Tensor._result(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), vjp)
-
-
 def concat(tensors: Sequence, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:

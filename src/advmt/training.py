@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import ClassVar, List, Optional
 
 import numpy as np
@@ -24,7 +24,7 @@ from .discriminator import DiscriminatorConfig, DiscriminatorModel, discriminato
 from .errors import ConfigurationError, ContractError, DivergenceError, HorizonError, build_config
 from .evaluation import DEFAULT_HORIZONS_MS, _batched_rollout, collect_windows, mpjpe_at_horizon
 from .fileio import atomic_write
-from .losses import LossWeights, boundary_deltas, total_loss
+from .losses import LossBreakdown, LossWeights, boundary_deltas, total_loss
 from .model import EncoderConfig, EncoderModel, rollout_graph
 from .tensor import Tensor, _keep_freed_memory, global_grad_norm
 
@@ -80,12 +80,11 @@ class TrainConfig:
 class Adam:
     """Standard Adam with bias correction; state per parameter tensor."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -117,13 +116,25 @@ def clip_gradients(params, max_norm: float) -> float:
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    mpjpe: float
-    bone: float
-    adversarial: float
-    total: float
+class StepRecord(LossBreakdown):
+    """The scalars of one train step; ``fit`` logs their per-epoch means."""
+
     disc_loss: float
+
+
+def _epoch_mean(steps) -> StepRecord:
+    """Field-wise mean of one epoch's step records, summed in step order."""
+    sums = np.zeros(len(fields(StepRecord)))
+    for step in steps:
+        sums += astuple(step)
+    return StepRecord(*(sums / len(steps)))
+
+
+@dataclass
+class EpochRecord(StepRecord):
+    """An epoch's mean step record, its validation error and its wall time."""
+
+    epoch: int
     val_mpjpe: dict  # horizon ms -> mm; empty without a test split
     seconds: float
 
@@ -133,16 +144,14 @@ class TrainLog:
     records: List[EpochRecord] = field(default_factory=list)
 
     def to_csv(self, path):
+        """Columns: epoch, the ``StepRecord`` fields, one per validation horizon, seconds."""
+        names = [f.name for f in fields(StepRecord)]
         horizons = sorted({ms for r in self.records for ms in r.val_mpjpe})
         with atomic_write(path) as fh:
-            cols = ["epoch", "mpjpe", "bone", "adversarial", "total", "disc_loss"]
-            cols += [f"val_mpjpe_{ms}" for ms in horizons]
-            cols.append("seconds")
+            cols = ["epoch", *names, *(f"val_mpjpe_{ms}" for ms in horizons), "seconds"]
             fh.write(",".join(cols) + "\n")
             for r in self.records:
-                row = [str(r.epoch)] + [
-                    f"{v:.17g}" for v in (r.mpjpe, r.bone, r.adversarial, r.total, r.disc_loss)
-                ]
+                row = [str(r.epoch)] + [f"{getattr(r, name):.17g}" for name in names]
                 row += [f"{r.val_mpjpe[ms]:.17g}" if ms in r.val_mpjpe else "" for ms in horizons]
                 row.append(f"{r.seconds:.3f}")
                 fh.write(",".join(row) + "\n")
@@ -176,11 +185,8 @@ class Trainer:
             )
         return inputs, targets
 
-    def train_step(self, batch) -> tuple:
-        """One alternation: rollout, disc update(s) on detached fakes, encoder update.
-
-        Returns (LossBreakdown, discriminator loss value).
-        """
+    def train_step(self, batch) -> StepRecord:
+        """One alternation: rollout, disc update(s) on detached fakes, encoder update."""
         cfg = self.cfg
         inputs, targets = self._gather(batch)
         b, t, n, _ = inputs.shape
@@ -211,7 +217,7 @@ class Trainer:
         self.enc_opt.zero_grad()
         loss.backward()
         self._clipped_step(self.enc_opt, "encoder")
-        return breakdown, disc_value
+        return StepRecord(**vars(breakdown), disc_loss=disc_value)
 
     def _clipped_step(self, opt, name):
         """Clip, then step; a non-finite norm (which clipping cannot scale) stops the run."""
@@ -221,27 +227,24 @@ class Trainer:
         opt.step()
 
 
-def _validation_horizons(cfg: TrainConfig, fps: int):
-    """Default horizons within the predicted span; ``evaluate`` refuses the same fps."""
+def _validation_horizons(cfg: TrainConfig, fps: int) -> dict:
+    """{ms: frame} for the default horizons within the predicted span;
+    ``evaluate`` refuses the same fps."""
     if 1000 % fps:
         raise HorizonError(
             f"{fps} fps has a non-integer frame period in ms, so the test split "
             "cannot be scored at the validation horizons"
         )
-    horizons = []
     period = 1000 // fps
-    for ms in DEFAULT_HORIZONS_MS:
-        if ms % period == 0 and ms // period <= cfg.predict_frames:
-            horizons.append(ms)
-    return horizons
+    return {ms: ms // period for ms in DEFAULT_HORIZONS_MS
+            if ms % period == 0 and ms // period <= cfg.predict_frames}
 
 
-def _validate(encoder, val_inputs, val_targets, horizon_ms, fps):
-    if val_inputs is None or not horizon_ms:
+def _validate(encoder, val_inputs, val_targets, horizons):
+    if val_inputs is None or not horizons:
         return {}
     preds = _batched_rollout(encoder, val_inputs, val_targets.shape[1])
-    period = 1000 // fps
-    return {ms: mpjpe_at_horizon(preds, val_targets, ms // period) for ms in horizon_ms}
+    return {ms: mpjpe_at_horizon(preds, val_targets, frame) for ms, frame in horizons.items()}
 
 
 def fit(
@@ -264,7 +267,6 @@ def fit(
     if train_windows[0].input.shape[1] != n:
         raise ConfigurationError("corpus joint count does not match its topology")
     flat = 3 * n
-    fps = corpus_set.train.sequences[0].fps
 
     rng = np.random.default_rng(cfg.seed)
     enc_cfg = encoder_config or EncoderConfig(input_dim=flat, history_len=cfg.history_frames)
@@ -286,7 +288,8 @@ def fit(
     val_windows = collect_windows(corpus_set.test, t, l, stride) if corpus_set.test else []
     val_inputs = np.stack([s.input for s in val_windows]) if val_windows else None
     val_targets = np.stack([s.target for s in val_windows]) if val_windows else None
-    horizon_ms = _validation_horizons(cfg, fps) if corpus_set.test else []
+    fps = corpus_set.train.sequences[0].fps
+    horizons = _validation_horizons(cfg, fps) if corpus_set.test else {}
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -296,36 +299,18 @@ def fit(
     for epoch in range(1, cfg.epochs + 1):
         start_time = time.perf_counter()
         order = rng.permutation(n_windows)
-        sums = np.zeros(5)  # mpjpe, bone, adversarial, total, disc
-        steps = 0
+        steps = []
         for lo in range(0, n_windows, cfg.batch_size):
             batch = [train_windows[i] for i in order[lo : lo + cfg.batch_size]]
             try:
-                breakdown, disc_value = trainer.train_step(batch)
+                steps.append(trainer.train_step(batch))
             except DivergenceError as exc:
-                raise DivergenceError(f"epoch {epoch} step {steps + 1}: {exc}") from exc
-            sums += (
-                breakdown.mpjpe,
-                breakdown.bone,
-                breakdown.adversarial,
-                breakdown.total,
-                disc_value,
-            )
-            steps += 1
-        means = sums / steps
-        val = _validate(encoder, val_inputs, val_targets, horizon_ms, fps)
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                mpjpe=means[0],
-                bone=means[1],
-                adversarial=means[2],
-                total=means[3],
-                disc_loss=means[4],
-                val_mpjpe=val,
-                seconds=time.perf_counter() - start_time,
-            )
-        )
+                raise DivergenceError(f"epoch {epoch} step {len(steps) + 1}: {exc}") from exc
+        val = _validate(encoder, val_inputs, val_targets, horizons)
+        log.records.append(EpochRecord(
+            **vars(_epoch_mean(steps)), epoch=epoch, val_mpjpe=val,
+            seconds=time.perf_counter() - start_time,
+        ))
         if out_dir and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
             model_mod.save_checkpoint(encoder, os.path.join(out_dir, f"encoder_ep{epoch:03d}.ckpt"))
             disc_mod.save_checkpoint(disc, os.path.join(out_dir, f"discriminator_ep{epoch:03d}.ckpt"))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from advmt.losses import LossWeights
 from advmt.model import EncoderConfig
 from advmt import tensor
 from advmt.tensor import Tensor, global_grad_norm
-from advmt.training import Adam, TrainConfig, Trainer, clip_gradients, fit
+from advmt.training import Adam, StepRecord, TrainConfig, Trainer, clip_gradients, fit
 
 
 def small_corpus(topo, n_train=4, n_test=2, frames=78):
@@ -173,11 +175,41 @@ class TestTrainStep:
         for sample, mpjpe_is_zero in ((still, True), (partly, False)):
             before = [p.data.copy() for p in enc.parameters()]
             with np.errstate(divide="raise", invalid="raise"):
-                breakdown, _ = trainer.train_step([sample])
-            assert (breakdown.mpjpe == 0.0) == mpjpe_is_zero
+                record = trainer.train_step([sample])
+            assert (record.mpjpe == 0.0) == mpjpe_is_zero
             assert np.isfinite(global_grad_norm(enc.parameters()))
             assert all(np.isfinite(p.data).all() for p in enc.parameters())
         assert any(not np.array_equal(a, p.data) for a, p in zip(before, enc.parameters()))
+
+    def test_default_step_graph_node_count(self, topo17, monkeypatch):
+        """Pinned so the graph of a default batch-8 train step cannot grow
+        unnoticed: 733 nodes with the rollout stacking its predictions, 710
+        once it concatenated the frames its windows take in and each forward
+        pass took its output frame once."""
+        from advmt.data import window
+        from advmt.discriminator import DiscriminatorModel
+        from advmt.model import EncoderModel
+
+        corpus = generate_corpus(CorpusConfig(n_train=1, n_test=0, n_frames=110), topo17)
+        batch = window(corpus.train.sequences[0], 50, 25, 5)
+        assert len(batch) == 8
+        rng = np.random.default_rng(0)
+        trainer = Trainer(EncoderModel(EncoderConfig(input_dim=51), rng),
+                          DiscriminatorModel(DiscriminatorConfig(input_dim=51), rng),
+                          topo17, TrainConfig())
+        roots = []
+        backward = Tensor.backward
+        monkeypatch.setattr(Tensor, "backward", lambda self: (roots.append(self), backward(self)))
+        trainer.train_step(batch)
+        assert len(roots) == 2  # the discriminator's loss, then the encoder's
+
+        seen, todo = {id(roots[-1])}, [roots[-1]]
+        while todo:
+            for parent in todo.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    todo.append(parent)
+        assert len(seen) == 710
 
     def test_nan_gradient_stops_before_adam_step(self, topo17, monkeypatch):
         # A backward rule that yields NaN (injected into sqrt's, which the
@@ -240,6 +272,35 @@ class TestFit:
             assert ra.val_mpjpe == rb.val_mpjpe
         assert (out_a / "encoder.ckpt").read_bytes() == (out_b / "encoder.ckpt").read_bytes()
         assert (out_a / "discriminator.ckpt").read_bytes() == (out_b / "discriminator.ckpt").read_bytes()
+
+        def without_seconds(path):  # the last column is wall time
+            return [line.rsplit(b",", 1)[0] for line in path.read_bytes().splitlines()]
+
+        assert without_seconds(out_a / "trainlog.csv") == without_seconds(out_b / "trainlog.csv")
+
+    def test_epoch_row_is_the_mean_of_its_step_records(self, topo17, tmp_path, monkeypatch):
+        # 16 steps an epoch: numpy's pairwise sum would differ from step order
+        cs, cfg, enc_cfg, disc_cfg = small_setup(topo17, epochs=2, batch_size=1,
+                                                 window_stride=1)
+        steps = []
+        train_step = Trainer.train_step
+        monkeypatch.setattr(Trainer, "train_step",
+                            lambda self, batch: steps.append(train_step(self, batch)) or steps[-1])
+        _, _, log = fit(cs, cfg, out_dir=tmp_path, encoder_config=enc_cfg, disc_config=disc_cfg)
+        assert len(steps) == 32 and all(type(step) is StepRecord for step in steps)
+
+        names = [f.name for f in fields(StepRecord)]
+        for record, epoch_steps in zip(log.records, (steps[:16], steps[16:])):
+            for name in names:
+                total = 0.0
+                for step in epoch_steps:
+                    total += getattr(step, name)
+                assert getattr(record, name) == total / 16, name
+
+        header = (tmp_path / "trainlog.csv").read_text().splitlines()[0].split(",")
+        horizons = sorted(log.records[0].val_mpjpe)
+        assert horizons
+        assert header == ["epoch", *names, *(f"val_mpjpe_{ms}" for ms in horizons), "seconds"]
 
     def test_checkpoint_matches_in_memory_model(self, topo17, tmp_path):
         from advmt.evaluation import HorizonSet, evaluate
