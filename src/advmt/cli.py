@@ -39,7 +39,7 @@ from .evaluation import (
     evaluate,
     render_pose_strip,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json_object
 from .gradcheck import run_suite
 from .losses import LossWeights
 from .skeleton import MotionSequence, SkeletonTopology, bone_lengths
@@ -64,19 +64,6 @@ def _build_id() -> str:
     except OSError:
         pass
     return __version__
-
-
-def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise AdvmtError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise AdvmtError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise AdvmtError(f"config file {path}: expected a JSON object, got {type(raw).__name__}")
-    return raw
 
 
 def _resolve_seed(flag_seed, cfg_seed):
@@ -176,7 +163,7 @@ def _flags(args, mapping) -> dict:
 
 
 def cmd_generate(args) -> int:
-    raw = _load_json(args.config) if args.config else {}
+    raw = read_json_object(args.config) if args.config else {}
     topo_path = raw.pop("topology", None)
     seed = _resolve_seed(args.seed, raw.pop("seed", None))
     raw.update(_flags(args, {
@@ -242,7 +229,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = _load_json(args.config) if args.config else {}
+    raw = read_json_object(args.config) if args.config else {}
     enc_raw = raw.pop("encoder", None)
     disc_raw = raw.pop("discriminator", None)
     lambdas = _flags(args, {"lambda_bone": "lambda_bone", "lambda_adv": "lambda_adv"})
@@ -292,6 +279,8 @@ def _sequence_of(frames, fps, action):
 
 
 def cmd_eval(args) -> int:
+    if args.render < 0:
+        raise AdvmtError(f"--render must be >= 0, got {args.render}")
     corpus_set = load_corpus(args.data)
     if corpus_set.test is None:
         raise AdvmtError(f"{args.data}: corpus has no test split to evaluate")

@@ -21,8 +21,9 @@ from .errors import (
     CsvParseError,
     InsufficientFramesError,
     RateError,
+    require_keys,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json_object
 from .skeleton import MotionSequence, SkeletonTopology, forward_kinematics
 
 # Rest-pose bone offsets (mm) for the default skeleton, keyed by child joint.
@@ -406,16 +407,19 @@ def write_corpus(corpus_set: CorpusSet, out_dir) -> str:
 
 def load_corpus(manifest_path) -> CorpusSet:
     base = os.path.dirname(os.path.abspath(manifest_path))
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json_object(manifest_path, ("topology", "sequences"))
     topo = SkeletonTopology.from_json(os.path.join(base, manifest["topology"]))
+    if not isinstance(manifest["sequences"], list):
+        raise ConfigurationError(f"{manifest_path}: 'sequences' must be a JSON list")
     splits: dict = {"train": [], "test": []}
     fps = None
-    for entry in manifest["sequences"]:
+    for i, entry in enumerate(manifest["sequences"]):
+        require_keys(entry, ("path", "split"), f"{manifest_path}: sequences[{i}]")
         seq = load_csv(os.path.join(base, entry["path"]), topo)
         seq = MotionSequence(frames=seq.frames, fps=seq.fps, action_label=entry.get("action"))
         if entry["split"] not in splits:
-            raise ConfigurationError(f"unknown split {entry['split']!r} in manifest")
+            raise ConfigurationError(f"{manifest_path}: sequences[{i}] has unknown split "
+                                     f"{entry['split']!r}")
         if fps is None:
             fps = seq.fps
         elif seq.fps != fps:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one config reader.
+"""Exception types shared across the package, and the one config reader
+with its JSON-object check.
 
 Grouping them here lets the CLI map error categories onto exit codes
 without string matching.
@@ -55,6 +56,17 @@ class DivergenceError(AdvmtError, RuntimeError):
     """Training produced a non-finite loss; message carries epoch and step."""
 
 
+def require_keys(raw, keys, where: str) -> dict:
+    """``raw`` if it is a dict (a JSON object) holding every key of ``keys``;
+    otherwise a ``ConfigurationError`` that ``where`` opens."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ConfigurationError(f"{where}: missing key {missing[0]!r}")
+    return raw
+
+
 def build_config(cls, raw: dict, where: str, defaults: dict = None, overrides: dict = None):
     """Construct the config dataclass ``cls`` from a copy of the dict ``raw``,
     with ``defaults`` under it and ``overrides`` over it.
@@ -65,9 +77,7 @@ def build_config(cls, raw: dict, where: str, defaults: dict = None, overrides: d
     required fields are refused by name. ``where`` opens every message.
     The caller's dicts are never changed.
     """
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
-    raw = {**(defaults or {}), **raw, **(overrides or {})}
+    raw = {**(defaults or {}), **require_keys(raw, (), where), **(overrides or {})}
     for key, kept in getattr(cls, "RETIRED", {}).items():
         value = raw.pop(key, kept)
         if type(value) is not type(kept) or value != kept:  # JSON 1 is not true

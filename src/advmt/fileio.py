@@ -1,10 +1,28 @@
-"""Atomic file writes: a reader of the path finds its old bytes or its new
-ones, never a half-written file."""
+"""Atomic file writes, where a reader of the path finds its old bytes or
+its new ones, never a half-written file; and the one reader of JSON-object
+files (configs, corpus manifests, skeletons)."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+
+from .errors import ConfigurationError, require_keys
+
+
+def read_json_object(path, keys=()) -> dict:
+    """The JSON object in file ``path``, holding every key of ``keys``. A
+    missing file, invalid JSON, another JSON value or a missing key raises
+    ``ConfigurationError`` naming ``path``."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigurationError(f"{path}: file not found") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
+    return require_keys(raw, keys, str(path))
 
 
 @contextlib.contextmanager

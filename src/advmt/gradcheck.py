@@ -21,7 +21,8 @@ from .discriminator import (
     generator_adversarial_loss,
     score,
 )
-from .losses import LossWeights, total_loss
+from .errors import ContractError
+from .losses import LossWeights, mpjpe, total_loss
 from .model import EncoderConfig, EncoderLayer, EncoderModel, rollout_graph
 from .skeleton import SkeletonTopology
 from .tensor import Tensor
@@ -29,21 +30,23 @@ from .tensor import Tensor
 STEP = 1e-5
 
 
+def _difference(f: Callable, x: np.ndarray, i: int, step: float = STEP) -> float:
+    """Central difference of scalar f() in flat coordinate i of x, which is
+    perturbed in place and restored."""
+    orig = x.flat[i]
+    x.flat[i] = orig + step
+    fp = f()
+    x.flat[i] = orig - step
+    fm = f()
+    x.flat[i] = orig
+    return (fp - fm) / (2.0 * step)
+
+
 def central_difference(f: Callable, x: np.ndarray, step: float = STEP) -> np.ndarray:
     """Central finite-difference gradient of scalar f at x, elementwise."""
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
     probe = x.copy()
-    view = probe.reshape(-1)
-    for i in range(view.size):
-        orig = view[i]
-        view[i] = orig + step
-        fp = f(probe)
-        view[i] = orig - step
-        fm = f(probe)
-        view[i] = orig
-        flat[i] = (fp - fm) / (2.0 * step)
-    return grad
+    numeric = [_difference(lambda: f(probe), probe, i, step) for i in range(probe.size)]
+    return np.reshape(numeric, x.shape)
 
 
 def relative_error(analytic, numeric) -> float:
@@ -64,45 +67,34 @@ class OpCheck:
         return self.worst < self.tolerance
 
 
-def _check_inputs(rng, build, instances) -> float:
-    """build(rng) -> (list of input arrays, forward(list of Tensors) -> scalar Tensor)."""
-    worst = 0.0
-    for _ in range(instances):
-        arrays, forward = build(rng)
-        tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        forward(tensors).backward()
-        for i, t in enumerate(tensors):
-            def f(probe_arr, i=i):
-                probes = [Tensor(a) for a in arrays]
-                probes[i] = Tensor(probe_arr)
-                return forward(probes).item()
+def _check_instance(rng, params, arrays, forward, coords) -> float:
+    """One instance: every coordinate of every input array, then ``coords``
+    parameter coordinates sampled with ``rng``, against one backward pass.
+    Each coordinate is perturbed in place and restored."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    forward(inputs).backward()
+    probes = [(t.grad, a, i) for t, a in zip(inputs, arrays) for i in range(a.size)]
+    for _ in range(coords):
+        p = params[int(rng.integers(len(params)))]
+        probes.append((p.grad, p.data, int(rng.integers(p.size))))
 
-            numeric = central_difference(f, arrays[i])
-            analytic = t.grad if t.grad is not None else np.zeros_like(arrays[i])
-            worst = max(worst, relative_error(analytic, numeric))
+    def value():
+        return forward([Tensor(a) for a in arrays]).item()
+
+    worst = 0.0
+    for grad, x, i in probes:
+        analytic = 0.0 if grad is None else grad.flat[i]
+        worst = max(worst, relative_error(analytic, _difference(value, x, i)))
     return worst
 
 
-def _check_param_subset(rng, params, loss_fn, n_coords) -> float:
-    """Finite-difference a sampled subset of parameter coordinates."""
-    for p in params:
-        p.zero_grad()
-    loss_fn().backward()
-    worst = 0.0
-    for _ in range(n_coords):
-        pi = int(rng.integers(len(params)))
-        p = params[pi]
-        fi = int(rng.integers(p.size))
-        orig = p.data.flat[fi]
-        p.data.flat[fi] = orig + STEP
-        fp = loss_fn().item()
-        p.data.flat[fi] = orig - STEP
-        fm = loss_fn().item()
-        p.data.flat[fi] = orig
-        numeric = (fp - fm) / (2.0 * STEP)
-        analytic = p.grad.flat[fi] if p.grad is not None else 0.0
-        worst = max(worst, relative_error(analytic, numeric))
-    return worst
+def _probe(*builds, coords=0):
+    """Suite runner over probe builders ``rng -> (parameters, input arrays,
+    forward(list of Tensors) -> scalar Tensor)``: ``instances`` builds of
+    each, checked by ``_check_instance``."""
+    return lambda rng, instances: max(
+        _check_instance(rng, *build(rng), coords) for build in builds for _ in range(instances)
+    )
 
 
 # -- per-op probes -------------------------------------------------------------
@@ -131,14 +123,9 @@ def _op(fn, *shapes, draw=_normal):
         op = getattr(tensor, fn) if isinstance(fn, str) else fn
         arrays = [draw(rng, shape) for shape in shapes]
         c = rng.standard_normal(op(*(Tensor(a) for a in arrays)).shape)
-        return arrays, lambda ts: (op(*ts) * c).sum()
+        return [], arrays, lambda ts: (op(*ts) * c).sum()
 
     return build
-
-
-def _inputs(*builds):
-    """Suite runner: the worst input-gradient error over every probe builder."""
-    return lambda rng, k: max(_check_inputs(rng, build, k) for build in builds)
 
 
 def _mlp(x, w1, b1, w2):
@@ -170,29 +157,19 @@ def _chain_topology(n):
     )
 
 
-def _check_encoder_layer(rng, instances):
+# -- model-level probes --------------------------------------------------------
+
+
+def _encoder_layer(rng):
     cfg = EncoderConfig(
         input_dim=6, num_layers=1, num_heads=2, model_dim=16, ff_dim=24, history_len=6
     )
-    worst = 0.0
-    for _ in range(instances):
-        layer = EncoderLayer(cfg, rng)
-        x = rng.standard_normal((6, 16))
-        c = rng.standard_normal((6, 16))
-
-        def build(_rng, x=x, c=c, layer=layer):
-            return [x], lambda ts: (layer(ts[0]) * c).sum()
-
-        worst = max(worst, _check_inputs(rng, build, 1))
-        t_in = Tensor(x)
-        worst = max(
-            worst,
-            _check_param_subset(rng, layer.params(), lambda: (layer(t_in) * c).sum(), 10),
-        )
-    return worst
+    layer = EncoderLayer(cfg, rng)
+    x, c = rng.standard_normal((6, 16)), rng.standard_normal((6, 16))
+    return layer.params(), [x], lambda ts: (layer(ts[0]) * c).sum()
 
 
-def _check_rollout(rng, instances, l_frames):
+def _rollout(l_frames):
     """Parameters and the observed window, through an ``l_frames`` rollout.
 
     Statistics are non-identity and the window's last root is off the
@@ -200,130 +177,93 @@ def _check_rollout(rng, instances, l_frames):
     standardization. From ``l_frames`` = 2 on, predicted frames re-enter
     the window through ``concat`` and slicing.
     """
-    from .losses import mpjpe
 
-    worst = 0.0
-    for _ in range(instances):
+    def build(rng):
         enc = _tiny_encoder(rng)
         enc.set_frame_statistics(
             rng.standard_normal(6), rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6)
         )
         hist = rng.standard_normal((8, 6)) + np.tile(rng.uniform(1.0, 2.0, 3), 2)
         target = rng.standard_normal((l_frames, 2, 3))
+        return enc.parameters(), [hist], lambda ts: mpjpe(
+            rollout_graph(enc, ts[0], l_frames).reshape(target.shape), target)
 
-        def forward(ts, enc=enc, target=target):
-            return mpjpe(rollout_graph(enc, ts[0], l_frames).reshape(target.shape), target)
-
-        def build(_rng, hist=hist, forward=forward):
-            return [hist], forward
-
-        worst = max(worst, _check_inputs(rng, build, 1))
-        h = Tensor(hist)
-        worst = max(
-            worst, _check_param_subset(rng, enc.parameters(), lambda: forward([h]), 20)
-        )
-    return worst
+    return build
 
 
-def _check_disc_score(rng, instances):
-    worst = 0.0
-    for _ in range(instances):
-        disc = _live_discriminator(rng, 6)
-        deltas = rng.standard_normal((5, 2, 3))
-        c = rng.standard_normal(5)
-        d = Tensor(deltas)
-        worst = max(
-            worst,
-            _check_param_subset(
-                rng, disc.parameters(), lambda: (score(disc, d) * c).sum(), 20
-            ),
-        )
-    return worst
+def _disc_score(rng):
+    disc = _live_discriminator(rng, 6)
+    deltas, c = Tensor(rng.standard_normal((5, 2, 3))), rng.standard_normal(5)
+    return disc.parameters(), [], lambda ts: (score(disc, deltas) * c).sum()
 
 
-def _check_generator_adv(rng, instances):
-    def build(r):
-        disc = _live_discriminator(r, 6)
-        fake = r.standard_normal((4, 2, 3))
-        return [fake], lambda ts: generator_adversarial_loss(disc, ts[0])
-
-    return _check_inputs(rng, build, instances)
+def _generator_adv(rng):
+    disc = _live_discriminator(rng, 6)
+    return [], [rng.standard_normal((4, 2, 3))], lambda ts: generator_adversarial_loss(disc, ts[0])
 
 
-def _check_total_loss_pred(rng, instances):
-    topo = _chain_topology(3)
-    weights = LossWeights()
-
-    def build(r):
-        disc = _live_discriminator(r, 9)
-        pred = r.standard_normal((2, 3, 3))
-        truth = r.standard_normal((2, 3, 3))
-        last = r.standard_normal((3, 3))
-        return [pred], lambda ts: total_loss(ts[0], truth, topo, disc, weights, last)[0]
-
-    return _check_inputs(rng, build, instances)
+def _total_loss_pred(rng):
+    disc, topo = _live_discriminator(rng, 9), _chain_topology(3)
+    pred, truth = rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 3, 3))
+    last = rng.standard_normal((3, 3))
+    return [], [pred], lambda ts: total_loss(ts[0], truth, topo, disc, LossWeights(), last)[0]
 
 
-def _check_total_loss_end_to_end(rng, instances):
-    topo = _chain_topology(2)
-    weights = LossWeights()
-    worst = 0.0
-    for _ in range(instances):
-        enc = _tiny_encoder(rng)
-        disc = _live_discriminator(rng, 6)
-        hist = rng.standard_normal((8, 6))
-        truth = rng.standard_normal((1, 2, 3))
-        h = Tensor(hist)
-        last = hist[-1].reshape(2, 3)
+def _total_loss_end_to_end(rng):
+    enc, disc, topo = _tiny_encoder(rng), _live_discriminator(rng, 6), _chain_topology(2)
+    hist, truth = rng.standard_normal((8, 6)), rng.standard_normal((1, 2, 3))
 
-        def loss():
-            pred = enc.forward_window(h).reshape((1, 2, 3))
-            return total_loss(pred, truth, topo, disc, weights, last)[0]
+    def forward(_):
+        pred = enc.forward_window(Tensor(hist)).reshape((1, 2, 3))
+        return total_loss(pred, truth, topo, disc, LossWeights(), hist[-1].reshape(2, 3))[0]
 
-        worst = max(worst, _check_param_subset(rng, enc.parameters(), loss, 15))
-    return worst
+    return enc.parameters(), [], forward
 
 
 # gain, bias, then weight and bias of the q, k, v and out projections, D = 6
 _ATTENTION_PARAMS = ((6,), (6,)) + ((6, 6), (6,)) * 4
 
 _SUITE = (
-    ("matmul", 1e-6, _inputs(_op("matmul", (2, 4, 5), (5, 3)))),
-    ("add", 1e-6, _inputs(_op("add", (3, 4), (4,)))),
-    ("sub", 1e-6, _inputs(_op("sub", (3, 1), (3, 4)))),
-    ("mul", 1e-6, _inputs(_op("mul", (3, 4), (3, 1)), _op(lambda a: a * -1.7, (3, 4)))),
-    ("relu", 1e-6, _inputs(_op("relu", (3, 4)))),
-    ("sqrt", 1e-6, _inputs(_op("sqrt", (3, 4), draw=_positive))),
-    ("tabs", 1e-6, _inputs(_op("tabs", (3, 4), draw=_signed))),
-    ("tsum", 1e-6, _inputs(_op(lambda x: x.sum(axis=(0, 2)), (2, 3, 4)),
-                           _op(lambda x: x.sum(axis=(0, -1), keepdims=True), (2, 3, 4)))),
-    ("tmean", 1e-6, _inputs(_op(lambda x: x.mean(axis=(0, 2)), (2, 3, 4)),
-                            _op(lambda x: x.mean(axis=(1, 2), keepdims=True), (2, 3, 4)))),
-    ("reshape", 1e-6, _inputs(_op(lambda x: x.reshape((4, 3)), (2, 6)))),
+    ("matmul", 1e-6, _probe(_op("matmul", (2, 4, 5), (5, 3)))),
+    ("add", 1e-6, _probe(_op("add", (3, 4), (4,)))),
+    ("sub", 1e-6, _probe(_op("sub", (3, 1), (3, 4)))),
+    ("mul", 1e-6, _probe(_op("mul", (3, 4), (3, 1)), _op(lambda a: a * -1.7, (3, 4)))),
+    ("relu", 1e-6, _probe(_op("relu", (3, 4)))),
+    ("sqrt", 1e-6, _probe(_op("sqrt", (3, 4), draw=_positive))),
+    ("tabs", 1e-6, _probe(_op("tabs", (3, 4), draw=_signed))),
+    ("tsum", 1e-6, _probe(_op(lambda x: x.sum(axis=(0, 2)), (2, 3, 4)),
+                          _op(lambda x: x.sum(axis=(0, -1), keepdims=True), (2, 3, 4)))),
+    ("tmean", 1e-6, _probe(_op(lambda x: x.mean(axis=(0, 2)), (2, 3, 4)),
+                           _op(lambda x: x.mean(axis=(1, 2), keepdims=True), (2, 3, 4)))),
+    ("reshape", 1e-6, _probe(_op(lambda x: x.reshape((4, 3)), (2, 6)))),
     # a basic slice, and an index list repeating joint 0 (the np.add.at path)
-    ("take", 1e-6, _inputs(_op(lambda x: x[1:, ::2], (3, 5)),
-                           _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),
-    ("concat", 1e-6, _inputs(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
-    ("linear", 1e-6, _inputs(_op("linear", (2, 3, 5), (5, 4), (4,)))),
-    ("attention_block", 1e-6, _inputs(
+    ("take", 1e-6, _probe(_op(lambda x: x[1:, ::2], (3, 5)),
+                          _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),
+    ("concat", 1e-6, _probe(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
+    ("linear", 1e-6, _probe(_op("linear", (2, 3, 5), (5, 4), (4,)))),
+    ("attention_block", 1e-6, _probe(
         _op(lambda x, *p: tensor.attention_block(x, *p, 2), (2, 4, 6), *_ATTENTION_PARAMS),
         _op(lambda x, *p: tensor.attention_block(x, *p, 2, rows=2), (2, 5, 6),
             *_ATTENTION_PARAMS))),
-    ("feed_forward_block", 1e-6, _inputs(_op("feed_forward_block", (2, 3, 5), (5,), (5,),
-                                             (5, 7), (7,), (7, 5), (5,)))),
-    ("backward_mlp", 1e-5, _inputs(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
-    ("encoder_layer", 1e-4, _check_encoder_layer),
-    ("predict_next", 1e-4, lambda rng, k: _check_rollout(rng, k, 1)),
-    ("rollout_chain", 1e-4, lambda rng, k: _check_rollout(rng, k, 3)),
-    ("disc_score", 1e-5, _check_disc_score),
-    ("generator_adv", 1e-4, _check_generator_adv),
-    ("total_loss_pred", 1e-4, _check_total_loss_pred),
-    ("total_loss_end_to_end", 1e-4, _check_total_loss_end_to_end),
+    ("feed_forward_block", 1e-6, _probe(_op("feed_forward_block", (2, 3, 5), (5,), (5,),
+                                            (5, 7), (7,), (7, 5), (5,)))),
+    ("backward_mlp", 1e-5, _probe(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
+    ("encoder_layer", 1e-4, _probe(_encoder_layer, coords=10)),
+    ("predict_next", 1e-4, _probe(_rollout(1), coords=20)),
+    ("rollout_chain", 1e-4, _probe(_rollout(3), coords=20)),
+    ("disc_score", 1e-5, _probe(_disc_score, coords=20)),
+    ("generator_adv", 1e-4, _probe(_generator_adv)),
+    ("total_loss_pred", 1e-4, _probe(_total_loss_pred)),
+    ("total_loss_end_to_end", 1e-4, _probe(_total_loss_end_to_end, coords=15)),
 )
 
 
 def run_suite(seed: int = 2024, instances: int = 10) -> List[OpCheck]:
     """Gradient-check every differentiable op; ``instances`` random cases each."""
+    if instances < 1:
+        raise ContractError(
+            f"instances must be >= 1, got {instances}; with none, every entry passes unchecked"
+        )
     results = []
     for name, tol, runner in _SUITE:
         rng = np.random.default_rng(seed)

@@ -222,6 +222,7 @@ class EncoderModel:
         self.pose_mean = Tensor(np.zeros(config.input_dim))
         self.pose_std = Tensor(np.ones(config.input_dim))
         self.delta_scale = Tensor(np.ones(config.input_dim))
+        self._inverse_std = Tensor(np.ones(config.input_dim))  # 1 / pose_std, one leaf per model
 
     def parameters(self) -> List[Tensor]:
         """Canonical order; also the checkpoint serialization order."""
@@ -247,6 +248,7 @@ class EncoderModel:
             raise ContractError("pose_std and delta_scale must be positive")
         for buf, arr in zip(self.frame_statistics(), arrays):
             buf.data = arr.copy()
+        self._inverse_std.data = 1.0 / arrays[1]
 
     def forward_window(self, x: Tensor, collect_attention=None) -> Tensor:
         """(..., T, 3N) observed window in mm -> (..., 3N) next-frame prediction in mm."""
@@ -258,7 +260,7 @@ class EncoderModel:
         last_frame = x[..., -1:, :]
         # root of the last frame, tiled over joints, plus the train mean
         offset = last_frame @ self._root_tiling + self.pose_mean  # (..., 1, 3N)
-        z = (x - offset) * Tensor(1.0 / self.pose_std.data)
+        z = (x - offset) * self._inverse_std
         h = self.embed(z) + self._pe
         for layer in self.layers[:-1]:
             h = layer(h, collect=collect_attention)

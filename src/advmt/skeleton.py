@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientFramesError, TopologyError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json_object
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class SkeletonTopology:
 
     @classmethod
     def from_json(cls, path) -> "SkeletonTopology":
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = read_json_object(path, ("joint_names", "parent"))
         return cls(joint_names=tuple(raw["joint_names"]), parent=tuple(raw["parent"]))
 
     def to_json(self, path):

@@ -83,6 +83,19 @@ class TestGenerate:
     def test_validate_pipeline(self, corpus_dir):
         assert run("validate", "--data", str(corpus_dir / "manifest.json")) == 0
 
+    def test_every_flag_reaches_its_config_field(self, tmp_path):
+        out = tmp_path / "c"
+        assert run("generate", "--out", str(out), "--seed", "9", "--n-train", "2",
+                   "--n-test", "1", "--frames", "30", "--fps", "50", "--styles", "walk,idle_sway",
+                   "--amplitude-scale", "0.5") == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["seed"] == 9
+        assert manifest["config"] == {
+            "n_train": 2, "n_test": 1, "n_frames": 30, "fps": 50,
+            "styles": ["walk", "idle_sway"], "amplitude_scale": 0.5,
+            "train_seed_base": 9, "test_seed_base": 109,
+        }
+
     def test_lock_blocks_concurrent_use(self, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps(GEN_CFG))
@@ -182,6 +195,25 @@ class TestTrain:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["config"]["weights"]["lambda_bone"] == 0.25
         assert manifest["config"]["weights"]["lambda_adv"] == 0.0
+
+    def test_every_flag_reaches_its_config_field(self, tmp_path, corpus_dir):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({key: TRAIN_CFG[key] for key in ("encoder", "discriminator")}))
+        out = tmp_path / "flags"
+        assert run("train", "--config", str(cfg), "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(out), "--seed", "4", "--epochs", "1", "--batch-size", "3",
+                   "--lr-encoder", "0.002", "--lr-disc", "0.0005", "--lambda-bone", "0.2",
+                   "--lambda-adv", "0.02", "--disc-steps", "2", "--grad-clip", "0.5",
+                   "--history-frames", "10", "--predict-frames", "5", "--stride", "7",
+                   "--checkpoint-every", "1") == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["seed"] == 4
+        assert manifest["config"] == {
+            "seed": 4, "epochs": 1, "batch_size": 3, "lr_encoder": 0.002, "lr_disc": 0.0005,
+            "weights": {"lambda_bone": 0.2, "lambda_adv": 0.02},
+            "disc_steps_per_gen_step": 2, "grad_clip_norm": 0.5, "history_frames": 10,
+            "predict_frames": 5, "window_stride": 7, "checkpoint_every": 1,
+        }
 
     def test_bad_config_exits_2(self, tmp_path, corpus_dir, capsys):
         cfg = tmp_path / "train.json"
@@ -291,10 +323,68 @@ class TestEval:
                    "--out", str(out), "--render", "1") == 0
         assert (out / "strip_000.svg").exists()
 
+    def test_negative_render_exits_2(self, tmp_path, corpus_dir, trained_dir, capsys):
+        assert run("eval", "--checkpoint", str(trained_dir / "encoder.ckpt"),
+                   "--data", str(corpus_dir / "manifest.json"), "--out", str(tmp_path / "x"),
+                   "--render", "-1") == 2
+        assert "--render must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, corpus_dir):
         assert run("eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(corpus_dir / "manifest.json"),
                    "--out", str(tmp_path / "x")) == 2
+
+
+class TestMalformedCorpus:
+    """Malformed corpus input exits 2 with a message naming its file and key."""
+
+    def edit(self, path, change):
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps(change(raw)))
+
+    def refused(self, capsys, *argv):
+        assert run(*argv) == 2
+        return capsys.readouterr().err
+
+    def test_manifest_without_topology(self, corpus_dir, capsys):
+        manifest = corpus_dir / "manifest.json"
+        self.edit(manifest, lambda raw: {"sequences": raw["sequences"]})
+        err = self.refused(capsys, "validate", "--data", str(manifest))
+        assert f"{manifest}: missing key 'topology'" in err
+
+    def test_sequence_without_split(self, corpus_dir, capsys):
+        manifest = corpus_dir / "manifest.json"
+
+        def drop_split(raw):
+            del raw["sequences"][1]["split"]
+            return raw
+
+        self.edit(manifest, drop_split)
+        err = self.refused(capsys, "validate", "--data", str(manifest))
+        assert f"{manifest}: sequences[1]: missing key 'split'" in err
+
+    def test_manifest_is_a_list(self, corpus_dir, capsys):
+        manifest = corpus_dir / "manifest.json"
+        self.edit(manifest, lambda raw: raw["sequences"])
+        err = self.refused(capsys, "validate", "--data", str(manifest))
+        assert f"{manifest}: expected a JSON object, got list" in err
+
+    def test_skeleton_without_parent(self, tmp_path, corpus_dir, capsys):
+        from advmt import model
+
+        skeleton = corpus_dir / "skeleton.json"
+        self.edit(skeleton, lambda raw: {"joint_names": raw["joint_names"]})
+        ckpt = tmp_path / "encoder.ckpt"
+        model.save_checkpoint(model.init_encoder(model.EncoderConfig(
+            input_dim=51, num_layers=1, num_heads=2, model_dim=16, ff_dim=16)), ckpt)
+        message = f"{skeleton}: missing key 'parent'"
+        assert message in self.refused(capsys, "validate", "--data",
+                                       str(corpus_dir / "manifest.json"))
+        assert message in self.refused(capsys, "predict", "--checkpoint", str(ckpt),
+                                       "--skeleton", str(skeleton), "--input",
+                                       str(corpus_dir / "test" / "walk_0000.csv"),
+                                       "--out", str(tmp_path / "p.csv"))
 
 
 class TestPredict:
@@ -325,6 +415,13 @@ class TestGradcheck:
         assert run("gradcheck", "--instances", "2") == 0
         out = capsys.readouterr().out
         assert "all gradient checks passed" in out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_exits_2(self, capsys, instances):
+        assert run("gradcheck", "--instances", instances) == 2
+        captured = capsys.readouterr()
+        assert f"instances must be >= 1, got {instances}" in captured.err
+        assert "PASS" not in captured.out
 
     def test_corrupted_backward_detected(self, monkeypatch, capsys):
         import advmt.tensor as tensor_mod

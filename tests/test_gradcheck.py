@@ -1,9 +1,11 @@
 import inspect
 
 import numpy as np
+import pytest
 
 import advmt.tensor as tensor_mod
 from advmt import gradcheck
+from advmt.errors import ContractError
 
 
 def graph_ops():
@@ -38,3 +40,15 @@ def test_discriminator_backward_is_checked(monkeypatch):
     assert runner(np.random.default_rng(2024), 10) < tol
     monkeypatch.setattr(tensor_mod, "relu", skewed_relu)
     assert runner(np.random.default_rng(2024), 10) > tol
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_no_instances_is_refused(instances):
+    with pytest.raises(ContractError, match=f"instances must be >= 1, got {instances}"):
+        gradcheck.run_suite(instances=instances)
+
+
+def test_every_entry_checks_something():
+    # An entry whose runner checks no coordinate reads exactly 0 and passes;
+    # a central difference that is checked carries some rounding error.
+    assert [r.op for r in gradcheck.run_suite(instances=1) if not r.worst > 0] == []

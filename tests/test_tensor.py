@@ -479,12 +479,13 @@ class TestAttentionRecompute:
         one node per op, 243,748,648 once each half-block was one node that
         kept the norm's xhat, q, k, v and the merged context, 151,179,048
         with attention keeping only its probabilities and std, 55,844,648
-        with both block nodes keeping only their norm's std, and now, with
+        with both block nodes keeping only their norm's std, 55,844,856 with
         the output concatenating the frames the windows take in (its
-        ``offsets`` array adds 208 bytes), 55,844,856."""
+        ``offsets`` array adds 208 bytes), and now, with the inverse std one
+        encoder buffer in place of a (3N,) leaf per forward pass, 55,835,064."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
-        assert graph_held_bytes(out) == 55_844_856
+        assert graph_held_bytes(out) == 55_835_064
 
 
 class TestFeedForwardRecompute:
