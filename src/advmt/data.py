@@ -407,14 +407,14 @@ def write_corpus(corpus_set: CorpusSet, out_dir) -> str:
 
 def load_corpus(manifest_path) -> CorpusSet:
     base = os.path.dirname(os.path.abspath(manifest_path))
-    manifest = read_json_object(manifest_path, ("topology", "sequences"))
+    text = (lambda v: isinstance(v, str)), "a string"  # a value check for ``require_keys``
+    manifest = read_json_object(manifest_path, {
+        "topology": text, "sequences": (lambda v: isinstance(v, list), "a JSON list")})
     topo = SkeletonTopology.from_json(os.path.join(base, manifest["topology"]))
-    if not isinstance(manifest["sequences"], list):
-        raise ConfigurationError(f"{manifest_path}: 'sequences' must be a JSON list")
     splits: dict = {"train": [], "test": []}
     fps = None
     for i, entry in enumerate(manifest["sequences"]):
-        require_keys(entry, ("path", "split"), f"{manifest_path}: sequences[{i}]")
+        require_keys(entry, {"path": text, "split": text}, f"{manifest_path}: sequences[{i}]")
         seq = load_csv(os.path.join(base, entry["path"]), topo)
         seq = MotionSequence(frames=seq.frames, fps=seq.fps, action_label=entry.get("action"))
         if entry["split"] not in splits:

@@ -49,10 +49,7 @@ class DiscriminatorModel:
         self.layers.append(Linear(dims[-2], dims[-1], None))
 
     def parameters(self) -> List[Tensor]:
-        out = []
-        for layer in self.layers:
-            out += layer.params()
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, x: Tensor, frozen: bool = False) -> Tensor:
         """(..., 3N) -> (..., 1). With ``frozen`` the weights are detached,

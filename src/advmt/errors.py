@@ -57,13 +57,17 @@ class DivergenceError(AdvmtError, RuntimeError):
 
 
 def require_keys(raw, keys, where: str) -> dict:
-    """``raw`` if it is a dict (a JSON object) holding every key of ``keys``;
+    """``raw`` if it is a dict (a JSON object) holding every key of ``keys``, each
+    passing its ``(valid, expected)`` check if ``keys`` maps keys to checks;
     otherwise a ``ConfigurationError`` that ``where`` opens."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where}: expected a JSON object, got {type(raw).__name__}")
     missing = [key for key in keys if key not in raw]
     if missing:
         raise ConfigurationError(f"{where}: missing key {missing[0]!r}")
+    for key, (valid, expected) in keys.items() if isinstance(keys, dict) else ():
+        if not valid(raw[key]):
+            raise ConfigurationError(f"{where}: {key!r} must be {expected}, got {raw[key]!r:.60}")
     return raw
 
 

@@ -12,8 +12,8 @@ from .errors import ConfigurationError, require_keys
 
 
 def read_json_object(path, keys=()) -> dict:
-    """The JSON object in file ``path``, holding every key of ``keys``. A
-    missing file, invalid JSON, another JSON value or a missing key raises
+    """The JSON object in file ``path``, as ``require_keys`` accepts it with
+    ``keys``. A missing file, invalid JSON or a refused object raises
     ``ConfigurationError`` naming ``path``."""
     try:
         with open(path) as fh:

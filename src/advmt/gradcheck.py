@@ -247,6 +247,8 @@ _SUITE = (
             *_ATTENTION_PARAMS))),
     ("feed_forward_block", 1e-6, _probe(_op("feed_forward_block", (2, 3, 5), (5,), (5,),
                                             (5, 7), (7,), (7, 5), (5,)))),
+    ("window_in", 1e-6, _probe(_op("window_in", (2, 4, 6), (2, 1, 6), (6,), (6, 5), (5,), (4, 5)))),
+    ("frame_out", 1e-6, _probe(_op("frame_out", (2, 1, 6), (2, 2, 5), (5, 6), (6,), (6,)))),
     ("backward_mlp", 1e-5, _probe(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
     ("encoder_layer", 1e-4, _probe(_encoder_layer, coords=10)),
     ("predict_next", 1e-4, _probe(_rollout(1), coords=20)),

@@ -11,9 +11,10 @@ observed window, never future targets, so masking would not hide anything.
 
 Each encoder layer is two graph nodes: ``tensor.attention_block`` (pre-norm,
 q/k/v, per-head softmax, out-projection, residual) and
-``tensor.feed_forward_block`` (pre-norm, ff1, relu, ff2, residual). A
-layer's ``LayerNorm`` and ``Linear`` objects only hold its parameters, in
-checkpoint order; the embedding and the head go through ``tensor.linear``.
+``tensor.feed_forward_block`` (pre-norm, ff1, relu, ff2, residual); the
+input and output transforms are one ``tensor.window_in`` and one
+``tensor.frame_out`` node. ``LayerNorm`` and ``Linear`` objects only hold
+parameters, in checkpoint order.
 
 Because the head reads only the last token, the last layer computes keys
 and values from all T tokens but queries, attention output, residual and
@@ -130,7 +131,7 @@ def compute_frame_statistics(inputs: np.ndarray, targets: np.ndarray) -> tuple:
 
 
 class Linear:
-    """x @ W + b with uniform +-sqrt(6/(fan_in+fan_out)) init."""
+    """Weight and bias of x @ W + b, uniform +-sqrt(6/(fan_in+fan_out)) init."""
 
     def __init__(self, fan_in: int, fan_out: int, rng: Optional[np.random.Generator]):
         if rng is None:
@@ -140,9 +141,6 @@ class Linear:
             w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         self.W = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(fan_out), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return tensor.linear(x, self.W, self.b)
 
     def params(self):
         return [self.W, self.b]
@@ -201,12 +199,8 @@ class EncoderLayer:
                                          *self.ff2.params())
 
     def params(self):
-        out = self.ln1.params()
-        for lin in (self.wq, self.wk, self.wv, self.wo):
-            out += lin.params()
-        out += self.ln2.params()
-        out += self.ff1.params() + self.ff2.params()
-        return out
+        parts = (self.ln1, self.wq, self.wk, self.wv, self.wo, self.ln2, self.ff1, self.ff2)
+        return [p for part in parts for p in part.params()]
 
 
 class EncoderModel:
@@ -226,11 +220,7 @@ class EncoderModel:
 
     def parameters(self) -> List[Tensor]:
         """Canonical order; also the checkpoint serialization order."""
-        out = self.embed.params()
-        for layer in self.layers:
-            out += layer.params()
-        out += self.head.params()
-        return out
+        return [p for part in (self.embed, *self.layers, self.head) for p in part.params()]
 
     def frame_statistics(self) -> List[Tensor]:
         """Normalization buffers (not trained); serialized after ``parameters``."""
@@ -260,13 +250,11 @@ class EncoderModel:
         last_frame = x[..., -1:, :]
         # root of the last frame, tiled over joints, plus the train mean
         offset = last_frame @ self._root_tiling + self.pose_mean  # (..., 1, 3N)
-        z = (x - offset) * self._inverse_std
-        h = self.embed(z) + self._pe
+        h = tensor.window_in(x, offset, self._inverse_std, *self.embed.params(), self._pe)
         for layer in self.layers[:-1]:
             h = layer(h, collect=collect_attention)
         h = self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS)
-        last = h[..., -1:, :]  # keep rank for the head projection
-        return (last_frame + self.head(last) * self.delta_scale)[..., 0, :]
+        return tensor.frame_out(last_frame, h, *self.head.params(), self.delta_scale)
 
 
 def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderModel:

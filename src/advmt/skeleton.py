@@ -62,7 +62,11 @@ class SkeletonTopology:
 
     @classmethod
     def from_json(cls, path) -> "SkeletonTopology":
-        raw = read_json_object(path, ("joint_names", "parent"))
+        raw = read_json_object(path, {
+            "joint_names": (lambda v: isinstance(v, list) and all(
+                isinstance(n, str) for n in v), "a list of strings"),
+            "parent": (lambda v: isinstance(v, list) and all(
+                p is None or type(p) is int for p in v), "a list of joint indices or null")})
         return cls(joint_names=tuple(raw["joint_names"]), parent=tuple(raw["parent"]))
 
     def to_json(self, path):

@@ -38,7 +38,7 @@ def no_grad():
         _grad_enabled = prev
 
 
-# A train step frees its whole graph (the step peaks at about 110 MB at batch
+# A train step frees its whole graph (the step peaks at about 96 MB at batch
 # 8) when it returns, and a no-grad rollout frees each forward's buffers. glibc
 # gives the free top of its heap back to the OS once it exceeds a trim
 # threshold that it adapts to earlier allocations, so whether the next step
@@ -62,11 +62,6 @@ def _keep_freed_memory():
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A dense float64 array participating in a reverse-mode graph.
 
@@ -77,7 +72,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad=False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
@@ -296,7 +291,7 @@ def relu(a) -> Tensor:
     return Tensor._result(_relu(a.data), (a,), vjp)
 
 
-# -- matmul and the fused nodes: linear and the encoder's two half-blocks ------
+# -- matmul and the fused nodes: linear and the encoder's nodes ---------------
 
 
 def _check_matmul(a: tuple, b: tuple, op: str):
@@ -557,6 +552,58 @@ def feed_forward_block(x, gain, bias, w1, b1, w2, b2) -> Tensor:
                 (b2, gb2))
 
     return Tensor._result(out, (x,) + params, vjp)
+
+
+def window_in(x, offset, inv_std, W, b, pe) -> Tensor:
+    """The encoder's input transform ``((x - offset) * inv_std) @ W + b + pe``
+    on a (..., T, 3N) window, as one node that keeps only its parents: backward
+    rebuilds the standardized window from the arrays bound at build time. The
+    numpy expressions and gradient summation order, so the bytes, are those of
+    the ``sub``, ``mul``, ``linear``, ``add`` chain kept as the tests' oracle."""
+    parents = tuple(as_tensor(p) for p in (x, offset, inv_std, W, b, pe))
+    _check_matmul(parents[0].shape, parents[3].shape, "window_in")
+    x_d, offset_d, inv_std_d, W_d, b_d, pe_d = arrays = tuple(p.data for p in parents)
+
+    def standardized():  # x - offset, and that times inv_std
+        s = x_d - offset_d
+        return s, s * inv_std_d
+
+    out = _affine(standardized()[1], W_d, b_d)
+    out += pe_d
+
+    def vjp(g):
+        s, z = standardized()
+        gz, gW, gb = _affine_grads(z, W_d, b_d, g)
+        gs = _unbroadcast(gz * inv_std_d, s.shape)
+        grads = (gs, -gs, gz * s, gW, gb, g)
+        return tuple((p, _unbroadcast(gr, a.shape)) for p, a, gr in zip(parents, arrays, grads))
+
+    return Tensor._result(out, parents, vjp)
+
+
+def frame_out(last_frame, h, W, b, scale) -> Tensor:
+    """``(last_frame + (h[..., -1:, :] @ W + b) * scale)[..., 0, :]`` with a
+    (..., 1, 3N) last frame, the encoder's output transform, as one node built
+    like ``window_in`` (backward rebuilds the head's output) with the bytes of
+    the ``take``, ``linear``, ``mul``, ``add``, ``take`` chain."""
+    parents = tuple(as_tensor(p) for p in (last_frame, h, W, b, scale))
+    _check_matmul(parents[1].shape, parents[2].shape, "frame_out")
+    last_d, h_d, W_d, b_d, scale_d = arrays = tuple(p.data for p in parents)
+
+    def head():  # the head's output at the last token, (..., 1, 3N)
+        return _affine(h_d[..., -1:, :], W_d, b_d)
+
+    out = last_d + head() * scale_d
+
+    def vjp(g):
+        gout = g[..., None, :] + 0.0  # the last ``take``'s scatter into zeros: -0.0 -> +0.0
+        y = head()
+        gy = _unbroadcast(gout * scale_d, y.shape)
+        gh, gW, gb = _affine_grads(h_d[..., -1:, :], W_d, b_d, gy)
+        grads = (gout, _scattered(gh, h_d.shape, 1), gW, gb, gout * y)
+        return tuple((p, _unbroadcast(gr, a.shape)) for p, a, gr in zip(parents, arrays, grads))
+
+    return Tensor._result(out[..., 0, :], parents, vjp)
 
 
 # -- reductions and pointwise maths -------------------------------------------

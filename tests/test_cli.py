@@ -370,21 +370,51 @@ class TestMalformedCorpus:
         err = self.refused(capsys, "validate", "--data", str(manifest))
         assert f"{manifest}: expected a JSON object, got list" in err
 
-    def test_skeleton_without_parent(self, tmp_path, corpus_dir, capsys):
+    @pytest.mark.parametrize("key,bad", [("path", 7), ("split", ["train"])])
+    def test_sequence_value_of_wrong_type(self, corpus_dir, capsys, key, bad):
+        manifest = corpus_dir / "manifest.json"
+
+        def spoil(raw):
+            raw["sequences"][1][key] = bad
+            return raw
+
+        self.edit(manifest, spoil)
+        err = self.refused(capsys, "validate", "--data", str(manifest))
+        assert f"{manifest}: sequences[1]: {key!r} must be a string, got {bad!r}" in err
+
+    def skeleton_refusals(self, tmp_path, corpus_dir, capsys):
+        """stderr of ``validate`` and of ``predict --skeleton``, each of which must exit 2."""
         from advmt import model
 
-        skeleton = corpus_dir / "skeleton.json"
-        self.edit(skeleton, lambda raw: {"joint_names": raw["joint_names"]})
         ckpt = tmp_path / "encoder.ckpt"
         model.save_checkpoint(model.init_encoder(model.EncoderConfig(
             input_dim=51, num_layers=1, num_heads=2, model_dim=16, ff_dim=16)), ckpt)
-        message = f"{skeleton}: missing key 'parent'"
-        assert message in self.refused(capsys, "validate", "--data",
-                                       str(corpus_dir / "manifest.json"))
-        assert message in self.refused(capsys, "predict", "--checkpoint", str(ckpt),
-                                       "--skeleton", str(skeleton), "--input",
-                                       str(corpus_dir / "test" / "walk_0000.csv"),
-                                       "--out", str(tmp_path / "p.csv"))
+        return [self.refused(capsys, "validate", "--data", str(corpus_dir / "manifest.json")),
+                self.refused(capsys, "predict", "--checkpoint", str(ckpt), "--skeleton",
+                             str(corpus_dir / "skeleton.json"), "--input",
+                             str(corpus_dir / "test" / "walk_0000.csv"),
+                             "--out", str(tmp_path / "p.csv"))]
+
+    def test_skeleton_without_parent(self, tmp_path, corpus_dir, capsys):
+        skeleton = corpus_dir / "skeleton.json"
+        self.edit(skeleton, lambda raw: {"joint_names": raw["joint_names"]})
+        for err in self.skeleton_refusals(tmp_path, corpus_dir, capsys):
+            assert f"{skeleton}: missing key 'parent'" in err
+
+    @pytest.mark.parametrize("key,bad,expected", [
+        ("joint_names", 3, "a list of strings"),
+        ("parent", "0", "a list of joint indices or null")])
+    def test_skeleton_value_of_wrong_type(self, tmp_path, corpus_dir, capsys, key, bad,
+                                          expected):
+        skeleton = corpus_dir / "skeleton.json"
+
+        def spoil(raw):
+            raw[key][1] = bad
+            return raw
+
+        self.edit(skeleton, spoil)
+        for err in self.skeleton_refusals(tmp_path, corpus_dir, capsys):
+            assert f"{skeleton}: {key!r} must be {expected}" in err
 
 
 class TestPredict:

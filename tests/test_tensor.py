@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis.extra import numpy as hnp
 from advmt import tensor
 from advmt.errors import ContractError, DimensionError
 from advmt.gradcheck import central_difference, relative_error
-from advmt.model import EncoderConfig, EncoderModel, rollout_graph
-from advmt.tensor import (Tensor, as_tensor, attention_block, concat, feed_forward_block, linear,
-                          matmul)
+from advmt.model import HEAD_ROWS, EncoderConfig, EncoderModel, rollout_graph
+from advmt.tensor import (Tensor, as_tensor, attention_block, concat, feed_forward_block,
+                          frame_out, linear, matmul, window_in)
 
 
 def grad_of(forward, *arrays):
@@ -184,6 +185,38 @@ def attention_params(rng, d):
                                       0.1 * rng.standard_normal(d))]
 
 
+def window_in_chain(x, offset, inv_std, W, b, pe):
+    """``window_in`` as the ``sub``, ``mul``, ``linear``, ``add`` nodes it replaces."""
+    return linear((x - offset) * inv_std, W, b) + pe
+
+
+def frame_out_chain(last_frame, h, W, b, scale):
+    """``frame_out`` as the ``take``, ``linear``, ``mul``, ``add``, ``take`` nodes it replaces."""
+    return (last_frame + linear(h[..., -1:, :], W, b) * scale)[..., 0, :]
+
+
+def forward_window_chain(enc, x):
+    """``EncoderModel.forward_window`` with its input and output transforms as chains."""
+    last_frame = x[..., -1:, :]
+    offset = last_frame @ enc._root_tiling + enc.pose_mean
+    h = window_in_chain(x, offset, enc._inverse_std, *enc.embed.params(), enc._pe)
+    for layer in enc.layers[:-1]:
+        h = layer(h)
+    h = enc.layers[-1](h, rows=HEAD_ROWS)
+    return frame_out_chain(last_frame, h, *enc.head.params(), enc.delta_scale)
+
+
+def graph_nodes(out) -> list:
+    """Every tensor ``out`` reaches through its parents, ``out`` included."""
+    seen, todo = {id(out): out}, [out]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                todo.append(parent)
+    return list(seen.values())
+
+
 def feed_forward_params(rng, d, f):
     return [1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d),
             rng.standard_normal((d, f)) / math.sqrt(d), 0.1 * rng.standard_normal(f),
@@ -349,19 +382,94 @@ class TestFusedOps:
         attention between eight split and merge nodes 95, the attention
         node that owns the head layout 79, last-layer query pruning 81
         (two ``take`` nodes pick the query and residual rows), the two block
-        nodes 59, and taking the output frame after the head's add, not
-        before, 58."""
+        nodes 59, taking the output frame after the head's add, not
+        before, 58, and the window-in and frame-out nodes in place of the
+        input and output chains, 51."""
         cfg = EncoderConfig(input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24,
                             history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
         out = enc.forward_window(Tensor(np.ones((8, 6)), requires_grad=True))
-        seen, stack_ = {id(out)}, [out]
-        while stack_:
-            for parent in stack_.pop()._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack_.append(parent)
-        assert len(seen) == 58
+        assert len(graph_nodes(out)) == 51
+
+    def test_rollout_frame_census(self):
+        """One more rollout frame adds the 8 block nodes of a 4-layer encoder,
+        the window-in and frame-out nodes, and 6 small ones: the ``take`` of
+        the last frame, the root tiling's ``matmul``, the ``add`` of the
+        mean, the ``reshape`` of the predicted frame, and the window slide's
+        ``take`` and ``concat``."""
+        cfg = EncoderConfig(input_dim=6, num_heads=2, model_dim=16, ff_dim=24, history_len=8)
+        enc = EncoderModel(cfg, np.random.default_rng(0))
+
+        def census(frames):
+            out = rollout_graph(enc, Tensor(np.ones((2, 8, 6)), requires_grad=True), frames)
+            return Counter(n._vjp.__qualname__.split(".")[0] for n in graph_nodes(out)
+                           if n._vjp is not None)
+
+        added = census(3)
+        added.subtract(census(2))
+        assert {op: n for op, n in added.items() if n} == {
+            "attention_block": 4, "feed_forward_block": 4, "window_in": 1, "frame_out": 1,
+            "take": 2, "matmul": 1, "add": 1, "reshape": 1, "concat": 1}
+
+    @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
+    def test_window_in_matches_chain(self, rng, lead):
+        x = rng.standard_normal(lead + (50, 51))
+        offset = np.tile(x[..., -1:, :3], 17) + rng.standard_normal(51)
+        x[..., -1, 0] = offset[..., 0, 0] = -0.0  # a -0.0 root coordinate
+        arrays = [x, offset, rng.uniform(0.5, 2.0, 51), rng.standard_normal((51, 64)) / 8,
+                  0.1 * rng.standard_normal(64), rng.standard_normal((50, 64))]
+        c = rng.standard_normal(lead + (50, 64))
+        assert_bitwise(values_and_grads(lambda *t: window_in(*t) * c, *arrays),
+                       values_and_grads(lambda *t: window_in_chain(*t) * c, *arrays))
+
+    @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
+    def test_frame_out_matches_chain(self, rng, lead):
+        last_frame = rng.standard_normal(lead + (1, 51))
+        last_frame[..., 0, 0] = -0.0  # a -0.0 root coordinate
+        arrays = [last_frame, rng.standard_normal(lead + (HEAD_ROWS, 64)),  # the pruned rows
+                  rng.standard_normal((64, 51)) / 8, 0.1 * rng.standard_normal(51),
+                  rng.uniform(0.5, 2.0, 51)]
+        c = rng.standard_normal(lead + (51,))
+        c[..., 0] = -0.0  # the last ``take`` turns a -0.0 cotangent into +0.0
+        assert_bitwise(values_and_grads(lambda *t: frame_out(*t) * c, *arrays),
+                       values_and_grads(lambda *t: frame_out_chain(*t) * c, *arrays))
+
+    def test_window_nodes_keep_only_their_parents(self, rng):
+        x, offset = Tensor(rng.standard_normal((8, 50, 51)), requires_grad=True), \
+            Tensor(rng.standard_normal((8, 1, 51)), requires_grad=True)
+        params = [Tensor(a, requires_grad=True) for a in (
+            np.ones(51), rng.standard_normal((51, 64)), np.zeros(64), np.ones((50, 64)))]
+        h = window_in(x, offset, *params)
+        assert held_beyond_parents(h, (x, offset, *params)) == []
+        head = [Tensor(a, requires_grad=True) for a in (
+            rng.standard_normal((64, 51)), np.zeros(51), np.ones(51))]
+        out = frame_out(offset, h, *head)
+        assert held_beyond_parents(out, (offset, h, *head)) == []
+
+    def test_rollout_matches_chain(self, monkeypatch):
+        """Three frames of the default encoder at batch 8, against the same
+        rollout with ``forward_window``'s transforms as chains: the values,
+        the window's gradient and every parameter gradient, bit for bit."""
+        rng = np.random.default_rng(3)
+        enc = EncoderModel(EncoderConfig(input_dim=51), rng)
+        enc.set_frame_statistics(rng.standard_normal(51), rng.uniform(0.5, 2.0, 51),
+                                 rng.uniform(0.5, 2.0, 51))
+        window = 100.0 * rng.standard_normal((8, 50, 51))
+        window[3, -1, 0] = -0.0
+        c = rng.standard_normal((8, 3, 51))
+
+        def values_and_grads_of_rollout():
+            for p in enc.parameters():
+                p.zero_grad()
+            x = Tensor(window, requires_grad=True)
+            out = rollout_graph(enc, x, 3)
+            (out * c).sum().backward()
+            return [out.data, x.grad] + [p.grad for p in enc.parameters()]
+
+        fused = values_and_grads_of_rollout()
+        monkeypatch.setattr(EncoderModel, "forward_window",
+                            lambda self, x, collect_attention=None: forward_window_chain(self, x))
+        assert_bitwise(fused, values_and_grads_of_rollout())
 
 
     @settings(max_examples=60, deadline=None)
@@ -481,11 +589,14 @@ class TestAttentionRecompute:
         with attention keeping only its probabilities and std, 55,844,648
         with both block nodes keeping only their norm's std, 55,844,856 with
         the output concatenating the frames the windows take in (its
-        ``offsets`` array adds 208 bytes), and now, with the inverse std one
-        encoder buffer in place of a (3N,) leaf per forward pass, 55,835,064."""
+        ``offsets`` array adds 208 bytes), 55,835,064 with the inverse std one
+        encoder buffer in place of a (3N,) leaf per forward pass, and now,
+        with one window-in and one frame-out node per frame that keep only
+        their parents (no standardized window, embedding product or head
+        output), 42,391,864."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
-        assert graph_held_bytes(out) == 55_835_064
+        assert graph_held_bytes(out) == 42_391_864
 
 
 class TestFeedForwardRecompute:

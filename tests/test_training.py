@@ -185,8 +185,10 @@ class TestTrainStep:
         """Pinned so the graph of a default batch-8 train step cannot grow
         unnoticed: 733 nodes with the rollout stacking its predictions, 710
         once it concatenated the frames its windows take in and each forward
-        pass took its output frame once, and 687 once the inverse std was one
-        encoder buffer in place of a new leaf per forward pass."""
+        pass took its output frame once, 687 once the inverse std was one
+        encoder buffer in place of a new leaf per forward pass, and 515 with
+        one window-in and one frame-out node per forward pass in place of
+        the input and output chains."""
         from advmt.data import window
         from advmt.discriminator import DiscriminatorModel
         from advmt.model import EncoderModel
@@ -210,7 +212,7 @@ class TestTrainStep:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     todo.append(parent)
-        assert len(seen) == 687
+        assert len(seen) == 515
 
     def test_nan_gradient_stops_before_adam_step(self, topo17, monkeypatch):
         # A backward rule that yields NaN (injected into sqrt's, which the
