@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigurationError, build_config
+from .errors import CheckpointError, ConfigurationError, build_config, require_keys
 from .fileio import atomic_write
 from .tensor import Tensor
 
@@ -55,10 +55,10 @@ def load(path, expected_kind: str, config_cls) -> tuple:
         config = json.loads(raw[12 : 12 + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt config block: {exc}") from None
-    kind = config.pop("kind", None)
-    if kind != expected_kind:
-        raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
     try:
+        kind = require_keys(config, (), "config block").pop("kind", None)
+        if kind != expected_kind:
+            raise CheckpointError(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
         config = build_config(config_cls, config, f"{expected_kind} config")
     except ConfigurationError as exc:
         raise CheckpointError(f"{path}: {exc}") from None

@@ -220,8 +220,15 @@ def _total_loss_end_to_end(rng):
     return enc.parameters(), [], forward
 
 
-# gain, bias, then weight and bias of the q, k, v and out projections, D = 6
-_ATTENTION_PARAMS = ((6,), (6,)) + ((6, 6), (6,)) * 4
+# the attention half's norm and q, k, v, out projections (D = 6), then the feed-forward's (F = 7)
+_LAYER_PARAMS = ((6,), (6,)) + ((6, 6), (6,)) * 4 + ((6,), (6,), (6, 7), (7,), (7, 6), (6,))
+
+
+def _layer(rows=None):
+    """The encoder block node on an input and ``_LAYER_PARAMS``, 2 heads."""
+    return lambda x, *p: tensor.encoder_block(
+        tensor.attention_block(x, *p[:10], 2, rows=rows), *p[10:])
+
 
 _SUITE = (
     ("matmul", 1e-6, _probe(_op("matmul", (2, 4, 5), (5, 3)))),
@@ -241,12 +248,8 @@ _SUITE = (
                           _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),
     ("concat", 1e-6, _probe(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
     ("linear", 1e-6, _probe(_op("linear", (2, 3, 5), (5, 4), (4,)))),
-    ("attention_block", 1e-6, _probe(
-        _op(lambda x, *p: tensor.attention_block(x, *p, 2), (2, 4, 6), *_ATTENTION_PARAMS),
-        _op(lambda x, *p: tensor.attention_block(x, *p, 2, rows=2), (2, 5, 6),
-            *_ATTENTION_PARAMS))),
-    ("feed_forward_block", 1e-6, _probe(_op("feed_forward_block", (2, 3, 5), (5,), (5,),
-                                            (5, 7), (7,), (7, 5), (5,)))),
+    ("encoder_block", 1e-6, _probe(_op(_layer(), (2, 4, 6), *_LAYER_PARAMS))),
+    ("encoder_block_rows", 1e-6, _probe(_op(_layer(rows=2), (2, 5, 6), *_LAYER_PARAMS))),
     ("window_in", 1e-6, _probe(_op("window_in", (2, 4, 6), (2, 1, 6), (6,), (6, 5), (5,), (4, 5)))),
     ("frame_out", 1e-6, _probe(_op("frame_out", (2, 1, 6), (2, 2, 5), (5, 6), (6,), (6,)))),
     ("backward_mlp", 1e-5, _probe(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),

@@ -9,12 +9,14 @@ over the model's own predictions.
 There is deliberately no causal mask: the encoder only ever sees a fully
 observed window, never future targets, so masking would not hide anything.
 
-Each encoder layer is two graph nodes: ``tensor.attention_block`` (pre-norm,
-q/k/v, per-head softmax, out-projection, residual) and
-``tensor.feed_forward_block`` (pre-norm, ff1, relu, ff2, residual); the
-input and output transforms are one ``tensor.window_in`` and one
-``tensor.frame_out`` node. ``LayerNorm`` and ``Linear`` objects only hold
-parameters, in checkpoint order.
+Each encoder layer is one graph node, ``tensor.encoder_block``: its
+``attention`` runs the attention half's forward (``tensor.attention_block``:
+pre-norm, q/k/v, per-head softmax, out-projection, residual) and the node
+adds the feed-forward half (pre-norm, ff1, relu, ff2, residual); backward
+rebuilds both halves from the layer input. The input and output transforms
+are one ``tensor.window_in`` and one ``tensor.frame_out`` node.
+``LayerNorm`` and ``Linear`` objects only hold parameters, in checkpoint
+order.
 
 Because the head reads only the last token, the last layer computes keys
 and values from all T tokens but queries, attention output, residual and
@@ -168,7 +170,7 @@ HEAD_ROWS = 2
 
 
 class EncoderLayer:
-    """Pre-norm residual block, two graph nodes: x + MHA(LN(x)), then + FF(LN(.))."""
+    """Pre-norm residual block as one graph node: x + MHA(LN(x)), then + FF(LN(.))."""
 
     def __init__(self, cfg: EncoderConfig, rng):
         d = cfg.model_dim
@@ -182,10 +184,10 @@ class EncoderLayer:
         self.ff1 = Linear(d, cfg.ff_dim, rng)
         self.ff2 = Linear(cfg.ff_dim, d, rng)
 
-    def attention(self, x: Tensor, collect=None, rows=None) -> Tensor:
-        """The attention half-block with its residual, x + MHA(LN(x)); with
-        ``rows``, only the last ``rows`` tokens query, so the output is
-        (..., rows, D)."""
+    def attention(self, x: Tensor, collect=None, rows=None) -> tensor.Attended:
+        """The forward of the attention half-block, x + MHA(LN(x)), which
+        ``__call__`` finishes into the layer's node; with ``rows``, only the
+        last ``rows`` tokens query, so its output is (..., rows, D)."""
         return tensor.attention_block(
             x, *self.ln1.params(), *self.wq.params(), *self.wk.params(), *self.wv.params(),
             *self.wo.params(), self.num_heads, rows=rows, collect=collect,
@@ -194,9 +196,8 @@ class EncoderLayer:
     def __call__(self, x: Tensor, collect=None, rows=None) -> Tensor:
         """(..., T, D) -> (..., T, D); with ``rows``, only the last ``rows``
         tokens' outputs, (..., rows, D), computed from all T tokens."""
-        return tensor.feed_forward_block(self.attention(x, collect=collect, rows=rows),
-                                         *self.ln2.params(), *self.ff1.params(),
-                                         *self.ff2.params())
+        return tensor.encoder_block(self.attention(x, collect=collect, rows=rows),
+                                    *self.ln2.params(), *self.ff1.params(), *self.ff2.params())
 
     def params(self):
         parts = (self.ln1, self.wq, self.wk, self.wv, self.wo, self.ln2, self.ff1, self.ff2)

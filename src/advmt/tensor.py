@@ -17,7 +17,7 @@ import contextlib
 import ctypes
 import functools
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ def no_grad():
         _grad_enabled = prev
 
 
-# A train step frees its whole graph (the step peaks at about 96 MB at batch
+# A train step frees its whole graph (the step peaks at about 82 MB at batch
 # 8) when it returns, and a no-grad rollout frees each forward's buffers. glibc
 # gives the free top of its heap back to the OS once it exceeds a trim
 # threshold that it adapts to earlier allocations, so whether the next step
@@ -388,19 +388,29 @@ def _normalize_grads(g: np.ndarray, xhat: np.ndarray, std: np.ndarray, gain: np.
     return gx, tmp.sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
 
-def _check_block(op: str, x: Tensor, params: tuple, shapes: list):
-    """Raise, naming every shape, unless x is (..., T, D) and the params have ``shapes``."""
+def _check_block(op: str, shape: tuple, params: tuple, shapes: list):
+    """Raise, naming every shape, unless ``shape`` is (..., T, D) and the params have ``shapes``."""
     got = [p.shape for p in params]
-    if x.ndim < 2 or got != shapes:
+    if len(shape) < 2 or got != shapes:
         raise DimensionError(
-            f"{op}: input {x.shape} and parameters {got} do not fit; "
+            f"{op}: input {shape} and parameters {got} do not fit; "
             f"expected (..., T, D) and {shapes}"
         )
 
 
+class Attended(NamedTuple):
+    """``attention_block``'s output array, the tensors it read (input first) and
+    ``backward(downstream)``: it rebuilds out, takes (out's gradient, more
+    gradients) from ``downstream(out)`` and returns ``parents``' gradients, then the more."""
+    out: np.ndarray
+    parents: tuple
+    backward: Callable
+
+
 def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
-                    collect=None) -> Tensor:
-    """The pre-norm attention half-block ``x + MHA(LN(x))`` as one node.
+                    collect=None) -> Attended:
+    """The forward of the pre-norm attention half-block ``x + MHA(LN(x))``,
+    which ``encoder_block`` finishes into one node.
 
     x is (..., T, D). ``h = LN(x)`` (gain, bias), projections
     ``q = h @ wq + bq`` and likewise k and v, per-head
@@ -410,11 +420,11 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     their (..., rows, D). The probabilities, (..., H, Tq, T), go to
     ``collect`` (a list) when given.
 
-    The node keeps only the norm's (..., T, 1) std. Backward rebuilds xhat,
-    ``h``, q, k, v, the probabilities and the merged context from the input
-    and the parameters with the forward's own helpers, so they hold the
-    forward's bytes; it reads the arrays the forward read, bound when the
-    node is built, even if a ``.data`` is rebound in between.
+    Only the norm's (..., T, 1) std is kept. Backward rebuilds xhat, ``h``,
+    q, k, v, the probabilities, the merged context and the output from the
+    input and the parameters with the forward's own helper, so they hold the
+    forward's bytes; it reads the arrays the forward read, bound here, even
+    if a ``.data`` is rebound in between.
     The numpy expressions and the gradient summation order are those of the
     ``layer_norm``, ``linear``, ``take``, ``attention``, ``linear``,
     ``add`` chain kept as the oracle in the tests: the gradient at ``h`` is
@@ -425,13 +435,12 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     x = as_tensor(x)
     params = tuple(as_tensor(p) for p in (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo))
     d = x.shape[-1] if x.ndim else 0
-    _check_block("attention_block", x, params, [(d,), (d,)] + [(d, d), (d,)] * 4)
+    _check_block("attention_block", x.shape, params, [(d,), (d,)] + [(d, d), (d,)] * 4)
     if heads < 1 or d % heads:
         raise DimensionError(f"attention_block: shape {x.shape} does not split into {heads} heads")
     t = x.shape[-2]
     if rows is not None and not 1 <= rows <= t:
         raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {x.shape}")
-    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = params
     x_d = x.data
     gain_d, bias_d, wq_d, bq_d, wk_d, bk_d, wv_d, bv_d, wo_d, bo_d = (p.data for p in params)
     scale = 1.0 / math.sqrt(d // heads)
@@ -446,39 +455,39 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     def queried(a):  # the rows that query
         return a if rows is None else a[..., -rows:, :]
 
-    def projected(xhat):  # the norm output h and the heads of q, k and v
+    def forward(std=None):  # the merged context, the norm's std and what backward reads
+        xhat, std = _normalize(x_d, std)
         h = xhat * gain_d + bias_d
-        q = _affine(queried(h), wq_d, bq_d)
-        return h, heads_of(q), heads_of(_affine(h, wk_d, bk_d)), heads_of(_affine(h, wv_d, bv_d))
-
-    def softmax(qh, kh):  # the probabilities, (..., H, Tq, T)
+        qh = heads_of(_affine(queried(h), wq_d, bq_d))
+        kh, vh = heads_of(_affine(h, wk_d, bk_d)), heads_of(_affine(h, wv_d, bv_d))
         probs = qh @ kh.swapaxes(-1, -2)
         probs *= scale
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        return probs
+        return merged(probs @ vh, q_shape), std, (xhat, h, qh, kh, vh, probs)
 
-    xhat, std = _normalize(x_d)
-    h, qh, kh, vh = projected(xhat)
-    probs = softmax(qh, kh)
+    def output(ctx):  # the half's output, the feed-forward input
+        return queried(x_d) + _affine(ctx, wo_d, bo_d)
+
+    ctx, std, state = forward()
     if collect is not None:
-        collect.append(probs)
-    out = queried(x_d) + _affine(merged(probs @ vh, q_shape), wo_d, bo_d)
-    del xhat, h, qh, kh, vh, probs
+        collect.append(state[-1])
+    del state
 
-    def vjp(g):  # in-place steps and early ``del``s keep few temporaries alive
-        xhat, _ = _normalize(x_d, std)
-        h, qh, kh, vh = projected(xhat)
-        probs = softmax(qh, kh)
-        gctx, gwo, gbo = _affine_grads(merged(probs @ vh, q_shape), wo_d, bo_d, g)
+    def backward(downstream):  # in-place steps and early ``del``s keep few temporaries alive
+        ctx, _, (xhat, h, qh, kh, vh, probs) = forward(std)
+        g, more = downstream(output(ctx))
+        gctx, gwo, gbo = _affine_grads(ctx, wo_d, bo_d, g)
         gctx = heads_of(gctx)
+        del ctx
         gv = probs.swapaxes(-1, -2) @ gctx
         gscores = gctx @ vh.swapaxes(-1, -2)  # the probabilities' gradient, for now
         del gctx, vh
         gscores -= (gscores * probs).sum(axis=-1, keepdims=True)
         gscores *= probs
         gscores *= scale
+        del probs
         hq = queried(h)
         gq = merged(gscores @ kh, hq.shape)
         gk = merged((qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2), h.shape)
@@ -494,10 +503,9 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
         del gv, ghv, h, hq
         gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
         gx += g
-        return ((x, gx), (gain, ggain), (bias, gbias), (wq, gwq), (bq, gbq),
-                (wk, gwk), (bk, gbk), (wv, gwv), (bv, gbv), (wo, gwo), (bo, gbo))
+        return (gx, ggain, gbias, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo) + more
 
-    return Tensor._result(out, (x,) + params, vjp)
+    return Attended(output(ctx), (x,) + params, backward)
 
 
 def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
@@ -507,51 +515,52 @@ def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
     return out
 
 
-def feed_forward_block(x, gain, bias, w1, b1, w2, b2) -> Tensor:
-    """The pre-norm feed-forward half-block ``x + relu(LN(x) @ w1 + b1) @ w2 + b2``
-    as one node, on (..., T, D).
+def encoder_block(attended: Attended, gain, bias, w1, b1, w2, b2) -> Tensor:
+    """A whole pre-norm encoder layer as one node: the attention half
+    ``attended`` (what ``attention_block`` returned), then the feed-forward
+    half ``a + relu(LN(a) @ w1 + b1) @ w2 + b2`` on its (..., T, D) output a.
 
-    The node keeps only the norm's (..., T, 1) std. Backward rebuilds xhat,
-    the norm output and the (..., T, F) relu output from the input and the
-    parameters with the forward's own helpers, reading the arrays bound when
-    the node is built, as ``attention_block`` does. The numpy expressions and
-    summation order are those of the ``layer_norm``, ``linear``, ``relu``,
-    ``linear``, ``add`` chain kept as the oracle in the tests (the input
-    gradient is residual + norm path), so values and gradients equal the
-    chain's bit for bit.
+    Beyond its parents the node keeps only the two norms' (..., T, 1) stds.
+    Backward rebuilds a with the attention half's own helper
+    (``attended.backward``), then from a and the arrays bound here the
+    feed-forward half's xhat, norm output and relu output; it runs that
+    half's vjp, then the attention's on a's gradient. The feed-forward half
+    has the numpy expressions and summation order of the ``layer_norm``,
+    ``linear``, ``relu``, ``linear``, ``add`` chain kept as the tests' oracle
+    (a's gradient is residual + norm path), and a had one consumer there, so
+    values and gradients equal the two chains' bit for bit.
     """
-    x = as_tensor(x)
     params = tuple(as_tensor(p) for p in (gain, bias, w1, b1, w2, b2))
-    d = x.shape[-1] if x.ndim else 0
+    a_d, d = attended.out, attended.out.shape[-1]
     f = params[2].shape[-1] if params[2].ndim == 2 else None
-    _check_block("feed_forward_block", x, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
-    gain, bias, w1, b1, w2, b2 = params
-    x_d = x.data
+    _check_block("encoder_block", a_d.shape, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
     gain_d, bias_d, w1_d, b1_d, w2_d, b2_d = (p.data for p in params)
+    attention_backward, parents = attended.backward, attended.parents + params
 
     def hidden(xhat):  # the norm output h and the relu output r
         h = xhat * gain_d + bias_d
         r = _affine(h, w1_d, b1_d)
         return h, _relu(r, out=r)
 
-    xhat, std = _normalize(x_d)
-    r = hidden(xhat)[1]
-    out = x_d + _affine(r, w2_d, b2_d)
+    xhat, std = _normalize(a_d)
+    out = a_d + _affine(hidden(xhat)[1], w2_d, b2_d)
 
-    def vjp(g):
-        xhat, _ = _normalize(x_d, std)
+    def feed_forward_backward(g, a):  # (a's gradient, the parameters' gradients)
+        xhat, _ = _normalize(a, std)
         h, r = hidden(xhat)
         gr, gw2, gb2 = _affine_grads(r, w2_d, b2_d, g)
         gr *= r > 0  # the relu's mask: r > 0 exactly where its input is
         del r
         gh, gw1, gb1 = _affine_grads(h, w1_d, b1_d, gr)
         del gr, h
-        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
-        gx += g
-        return ((x, gx), (gain, ggain), (bias, gbias), (w1, gw1), (b1, gb1), (w2, gw2),
-                (b2, gb2))
+        ga, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
+        ga += g
+        return ga, (ggain, gbias, gw1, gb1, gw2, gb2)
 
-    return Tensor._result(out, (x,) + params, vjp)
+    def vjp(g):
+        return tuple(zip(parents, attention_backward(lambda a: feed_forward_backward(g, a))))
+
+    return Tensor._result(out, parents, vjp)
 
 
 def window_in(x, offset, inv_std, W, b, pe) -> Tensor:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,14 @@ def chain3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(params=["[1, 2]", '"x"', "7"], ids=["list", "string", "number"])
+def non_object_checkpoint(request, tmp_path):
+    """A checkpoint file whose config block is valid JSON but not an object."""
+    from advmt import checkpoint
+
+    block = request.param.encode()
+    path = tmp_path / "config.ckpt"
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<II", checkpoint.VERSION, len(block)) + block)
+    return path

@@ -16,3 +16,35 @@ def test_benchmark_tracer_finds_every_hook():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_each_layer_call_enters_attention_once(monkeypatch):
+    """The tracer times ``EncoderLayer.attention`` as the attention half and
+    the rest of ``EncoderLayer.__call__`` as the feed-forward half, so one
+    forward pass must enter ``attention`` once per layer, inside that
+    layer's ``__call__``."""
+    import numpy as np
+
+    from advmt.model import EncoderConfig, EncoderLayer, EncoderModel
+    from advmt.tensor import Tensor
+
+    enc = EncoderModel(EncoderConfig(input_dim=6, num_layers=3, num_heads=2, model_dim=8,
+                                     ff_dim=8, history_len=5), np.random.default_rng(0))
+    inside, entered = [], []
+    call, attention = EncoderLayer.__call__, EncoderLayer.attention
+
+    def counted_call(self, *args, **kwargs):
+        inside.append(self)
+        try:
+            return call(self, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counted_attention(self, *args, **kwargs):
+        entered.append((self, list(inside)))
+        return attention(self, *args, **kwargs)
+
+    monkeypatch.setattr(EncoderLayer, "__call__", counted_call)
+    monkeypatch.setattr(EncoderLayer, "attention", counted_attention)
+    enc.forward_window(Tensor(np.ones((2, 5, 6)), requires_grad=True))
+    assert entered == [(layer, [layer]) for layer in enc.layers]

@@ -440,6 +440,16 @@ class TestPredict:
                    "--input", str(src), "--out", str(tmp_path / "p.csv")) == 2
 
 
+    def test_checkpoint_config_not_an_object_exits_2(self, tmp_path, non_object_checkpoint,
+                                                     capsys):
+        assert run("predict", "--checkpoint", str(non_object_checkpoint), "--input",
+                   str(tmp_path / "history.csv"), "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert f"{non_object_checkpoint}: config block: expected a JSON object, got " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "p.csv").exists()
+
+
 class TestGradcheck:
     def test_passes(self, capsys):
         assert run("gradcheck", "--instances", "2") == 0

@@ -168,6 +168,11 @@ class TestCheckpoint:
         with pytest.raises(Exception, match="kind"):
             load_checkpoint(path)
 
+    def test_config_block_not_an_object_refused(self, non_object_checkpoint):
+        with pytest.raises(CheckpointError, match=r"config\.ckpt: config block: expected a JSON "
+                                                  r"object, got (list|str|int)$"):
+            load_checkpoint(non_object_checkpoint)
+
     def _save_with_config(self, disc, path, **extra):
         from dataclasses import asdict
 

@@ -11,9 +11,9 @@ from hypothesis.extra import numpy as hnp
 from advmt import tensor
 from advmt.errors import ContractError, DimensionError
 from advmt.gradcheck import central_difference, relative_error
-from advmt.model import HEAD_ROWS, EncoderConfig, EncoderModel, rollout_graph
-from advmt.tensor import (Tensor, as_tensor, attention_block, concat, feed_forward_block,
-                          frame_out, linear, matmul, window_in)
+from advmt.model import HEAD_ROWS, EncoderConfig, EncoderLayer, EncoderModel, rollout_graph
+from advmt.tensor import (Tensor, as_tensor, attention_block, concat, encoder_block, frame_out,
+                          linear, matmul, window_in)
 
 
 def grad_of(forward, *arrays):
@@ -104,7 +104,8 @@ class TestElementwise:
         assert relative_error(gb, fd_of(forward, [a, b], 1)) < 1e-6
 
 
-# -- oracles: the engine's layer-norm and attention nodes before the block nodes
+# -- oracles: the engine's layer-norm and attention nodes before the block nodes,
+# and the chains of them the encoder block node replaces
 
 
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
@@ -164,7 +165,7 @@ def attention(q, k, v, heads, scale, collect=None) -> Tensor:
 
 
 def attention_block_chain(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, rows=None):
-    """``attention_block`` as the eight nodes (ten with ``rows``) it replaces."""
+    """The attention half of ``encoder_block`` as eight nodes (ten with ``rows``)."""
     h = layer_norm(x, gain, bias)
     q = h if rows is None else h[..., -rows:, :]
     ctx = attention(linear(q, wq, bq), linear(h, wk, bk), linear(h, wv, bv), heads,
@@ -174,8 +175,20 @@ def attention_block_chain(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, 
 
 
 def feed_forward_chain(x, gain, bias, w1, b1, w2, b2):
-    """``feed_forward_block`` as the five nodes it replaces."""
+    """The feed-forward half of ``encoder_block`` as five nodes."""
     return x + linear(tensor.relu(linear(layer_norm(x, gain, bias), w1, b1)), w2, b2)
+
+
+def layer_chain(x, *params, heads, rows=None):
+    """``encoder_block`` as the two chains it replaces; ``params`` are the
+    attention half's ten, then the feed-forward half's six."""
+    return feed_forward_chain(attention_block_chain(x, *params[:10], heads, rows), *params[10:])
+
+
+def layer_node(x, *params, heads, rows=None, collect=None):
+    """The encoder block node on the parameters ``layer_chain`` takes."""
+    return encoder_block(attention_block(x, *params[:10], heads, rows=rows, collect=collect),
+                         *params[10:])
 
 
 def attention_params(rng, d):
@@ -196,13 +209,14 @@ def frame_out_chain(last_frame, h, W, b, scale):
 
 
 def forward_window_chain(enc, x):
-    """``EncoderModel.forward_window`` with its input and output transforms as chains."""
+    """``EncoderModel.forward_window`` with its input and output transforms
+    and every encoder layer as chains."""
     last_frame = x[..., -1:, :]
     offset = last_frame @ enc._root_tiling + enc.pose_mean
     h = window_in_chain(x, offset, enc._inverse_std, *enc.embed.params(), enc._pe)
-    for layer in enc.layers[:-1]:
-        h = layer(h)
-    h = enc.layers[-1](h, rows=HEAD_ROWS)
+    for i, layer in enumerate(enc.layers):
+        rows = HEAD_ROWS if i == len(enc.layers) - 1 else None
+        h = layer_chain(h, *layer.params(), heads=layer.num_heads, rows=rows)
     return frame_out_chain(last_frame, h, *enc.head.params(), enc.delta_scale)
 
 
@@ -223,6 +237,11 @@ def feed_forward_params(rng, d, f):
             rng.standard_normal((f, d)) / math.sqrt(f), 0.1 * rng.standard_normal(d)]
 
 
+def layer_params(rng, d, f):
+    """The attention half's parameters, then the feed-forward half's."""
+    return attention_params(rng, d) + feed_forward_params(rng, d, f)
+
+
 def softmax_rows(x):
     """Row softmax through one-head ``attention``: identity keys and values
     with unit scale make the scores ``x`` and the output the probabilities.
@@ -236,7 +255,8 @@ def softmax_rows(x):
 
 
 class TestSoftmax:
-    """The softmax inside the ``attention`` oracle, and in ``attention_block``."""
+    """The softmax inside the ``attention`` oracle, and in ``attention_block``,
+    the attention half of the encoder block node."""
 
     def test_symmetry(self):
         out = softmax_rows([0.0, 0.0, 0.0])
@@ -248,7 +268,8 @@ class TestSoftmax:
         eye, zero = np.eye(2), np.zeros(2)
         params = [np.ones(2), zero, 1000.0 * eye, zero] + [eye, zero] * 3
         probs = []
-        attention_block(Tensor([[1.0, -1.0], [-1.0, 1.0]]), *params, 1, collect=probs)
+        layer_node(Tensor([[1.0, -1.0], [-1.0, 1.0]]), *params, *feed_forward_params(
+            np.random.default_rng(0), 2, 3), heads=1, collect=probs)
         assert np.isfinite(probs[0]).all()
         assert probs[0][0, 0, 0] == pytest.approx(1.0)  # head 0, query row 0
         assert probs[0][0, 0, 1] == 0.0
@@ -340,41 +361,36 @@ class TestFusedOps:
         assert_bitwise(fused, values_and_grads(chain_forward, q, k, v))
 
     def test_attention_collects_probabilities(self, rng):
-        x, params = rng.standard_normal((2, 5, 6)), attention_params(rng, 6)
+        x, params = rng.standard_normal((2, 5, 6)), layer_params(rng, 6, 4)
         probs = []
-        out = attention_block(Tensor(x), *params, 2, collect=probs)
+        out = layer_node(Tensor(x, requires_grad=True), *params, heads=2, collect=probs)
         assert out.shape == (2, 5, 6)
         assert probs[0].shape == (2, 2, 5, 5)
         assert np.abs(probs[0].sum(axis=-1) - 1.0).max() < 1e-12
-        out = attention_block(Tensor(x), *params, 2, rows=2, collect=probs)
+        out = layer_node(Tensor(x, requires_grad=True), *params, heads=2, rows=2, collect=probs)
         assert out.shape == (2, 2, 6)
         assert probs[1].shape == (2, 2, 2, 5)
+        assert np.abs(probs[1].sum(axis=-1) - 1.0).max() < 1e-12
 
     def test_shape_errors_name_shapes(self, rng):
         with pytest.raises(DimensionError, match=r"\(4, 5\).*\(3, 2\)"):
             linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
         with pytest.raises(DimensionError, match="bias"):
             linear(Tensor(np.zeros((4, 5))), Tensor(np.zeros((5, 2))), Tensor(np.zeros(3)))
-        x, attn, ff = Tensor(np.zeros((2, 5, 6))), attention_params(rng, 6), \
-            feed_forward_params(rng, 6, 4)
-        for i, bad in ((0, (5,)), (2, (6, 4)), (9, (1, 6))):  # gain, q weight, out bias
-            params = attn[:i] + [np.zeros(bad)] + attn[i + 1:]
+        x, params = Tensor(np.zeros((2, 5, 6))), layer_params(rng, 6, 4)
+        # gain, q weight, out bias; then bias, second weight, first bias of the feed-forward
+        for i, bad in ((0, (5,)), (2, (6, 4)), (9, (1, 6)), (11, (4,)), (14, (6, 4)), (13, (6,))):
+            spoiled = params[:i] + [np.zeros(bad)] + params[i + 1:]
             with pytest.raises(DimensionError, match=rf"\(2, 5, 6\).*{re.escape(str(bad))}"):
-                attention_block(x, *params, 2)
-        for i, bad in ((1, (4,)), (4, (6, 4)), (3, (6,))):  # bias, second weight, first bias
-            params = ff[:i] + [np.zeros(bad)] + ff[i + 1:]
-            with pytest.raises(DimensionError, match=rf"\(2, 5, 6\).*{re.escape(str(bad))}"):
-                feed_forward_block(x, *params)
-        for op, params in ((lambda t, *p: attention_block(t, *p, 1), attn),
-                           (feed_forward_block, ff)):
-            with pytest.raises(DimensionError, match=r"input \(6,\)"):  # no token axis
-                op(Tensor(np.zeros(6)), *params)
+                layer_node(x, *spoiled, heads=2)
+        with pytest.raises(DimensionError, match=r"input \(6,\)"):  # no token axis
+            layer_node(Tensor(np.zeros(6)), *params, heads=1)
         for heads in (4, 0):
             with pytest.raises(DimensionError, match=rf"\(2, 5, 6\).*{heads} heads"):
-                attention_block(x, *attn, heads)
+                layer_node(x, *params, heads=heads)
         for rows in (0, 6):
             with pytest.raises(DimensionError, match=rf"rows {rows}.*\(2, 5, 6\)"):
-                attention_block(x, *attn, 2, rows=rows)
+                layer_node(x, *params, heads=2, rows=rows)
 
     def test_encoder_window_graph_node_count(self):
         """Pinned so an unfused path coming back fails: the matmul-add linears
@@ -384,19 +400,21 @@ class TestFusedOps:
         (two ``take`` nodes pick the query and residual rows), the two block
         nodes 59, taking the output frame after the head's add, not
         before, 58, and the window-in and frame-out nodes in place of the
-        input and output chains, 51."""
+        input and output chains, 51, and one node per encoder layer in place
+        of its attention and feed-forward nodes, 49."""
         cfg = EncoderConfig(input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24,
                             history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
         out = enc.forward_window(Tensor(np.ones((8, 6)), requires_grad=True))
-        assert len(graph_nodes(out)) == 51
+        assert len(graph_nodes(out)) == 49
 
     def test_rollout_frame_census(self):
-        """One more rollout frame adds the 8 block nodes of a 4-layer encoder,
-        the window-in and frame-out nodes, and 6 small ones: the ``take`` of
-        the last frame, the root tiling's ``matmul``, the ``add`` of the
-        mean, the ``reshape`` of the predicted frame, and the window slide's
-        ``take`` and ``concat``."""
+        """One more rollout frame adds the 4 layer nodes of a 4-layer encoder
+        (8 block nodes, an attention and a feed-forward node per layer, until
+        they became one), the window-in and frame-out nodes, and 6 small ones:
+        the ``take`` of the last frame, the root tiling's ``matmul``, the
+        ``add`` of the mean, the ``reshape`` of the predicted frame, and the
+        window slide's ``take`` and ``concat``."""
         cfg = EncoderConfig(input_dim=6, num_heads=2, model_dim=16, ff_dim=24, history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
 
@@ -408,7 +426,7 @@ class TestFusedOps:
         added = census(3)
         added.subtract(census(2))
         assert {op: n for op, n in added.items() if n} == {
-            "attention_block": 4, "feed_forward_block": 4, "window_in": 1, "frame_out": 1,
+            "encoder_block": 4, "window_in": 1, "frame_out": 1,
             "take": 2, "matmul": 1, "add": 1, "reshape": 1, "concat": 1}
 
     @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
@@ -448,8 +466,9 @@ class TestFusedOps:
 
     def test_rollout_matches_chain(self, monkeypatch):
         """Three frames of the default encoder at batch 8, against the same
-        rollout with ``forward_window``'s transforms as chains: the values,
-        the window's gradient and every parameter gradient, bit for bit."""
+        rollout with ``forward_window``'s transforms and layers as chains: the
+        values, the window's gradient and every parameter gradient, bit for
+        bit, so also each parameter's sum over the frames."""
         rng = np.random.default_rng(3)
         enc = EncoderModel(EncoderConfig(input_dim=51), rng)
         enc.set_frame_statistics(rng.standard_normal(51), rng.uniform(0.5, 2.0, 51),
@@ -471,18 +490,31 @@ class TestFusedOps:
                             lambda self, x, collect_attention=None: forward_window_chain(self, x))
         assert_bitwise(fused, values_and_grads_of_rollout())
 
+    @pytest.mark.parametrize("rows", [None, 2])
+    @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
+    def test_encoder_block_matches_chain(self, rng, lead, rows):
+        """At the default sizes, with a -0.0 in the cotangent."""
+        x, params = rng.standard_normal(lead + (50, 64)), layer_params(rng, 64, 128)
+        c = rng.standard_normal(lead + (50 if rows is None else rows, 64))
+        c[..., 0, 0] = -0.0
+        assert_bitwise(values_and_grads(lambda *a: layer_node(*a, heads=4, rows=rows) * c,
+                                        x, *params),
+                       values_and_grads(lambda *a: layer_chain(*a, heads=4, rows=rows) * c,
+                                        x, *params))
 
     @settings(max_examples=60, deadline=None)
     @given(lead=st.lists(st.integers(1, 3), max_size=2), t=st.integers(2, 6),
            heads=st.integers(1, 3), head_dim=st.integers(1, 3),
            rows=st.sampled_from([None, 1, 2, "T"]), seed=st.integers(0, 2**32 - 1))
     def test_attention_block_matches_chain(self, lead, t, heads, head_dim, rows, seed):
+        """The layer node over the attention half's heads and query rows."""
         rng = np.random.default_rng(seed)
         d, rows = heads * head_dim, t if rows == "T" else rows
-        x, params = rng.standard_normal(tuple(lead) + (t, d)), attention_params(rng, d)
+        x, params = rng.standard_normal(tuple(lead) + (t, d)), layer_params(rng, d, 3)
         c = rng.standard_normal(tuple(lead) + (t if rows is None else rows, d))
-        fused = values_and_grads(lambda *a: attention_block(*a, heads, rows=rows) * c, x, *params)
-        chain = values_and_grads(lambda *a: attention_block_chain(*a, heads, rows=rows) * c,
+        fused = values_and_grads(lambda *a: layer_node(*a, heads=heads, rows=rows) * c,
+                                 x, *params)
+        chain = values_and_grads(lambda *a: layer_chain(*a, heads=heads, rows=rows) * c,
                                  x, *params)
         assert_bitwise(fused, chain)
 
@@ -490,11 +522,12 @@ class TestFusedOps:
     @given(lead=st.lists(st.integers(1, 3), max_size=2), t=st.integers(1, 6),
            d=st.integers(1, 6), f=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_feed_forward_block_matches_chain(self, lead, t, d, f, seed):
+        """The layer node over the feed-forward half's widths, with one head."""
         rng = np.random.default_rng(seed)
-        x, params = rng.standard_normal(tuple(lead) + (t, d)), feed_forward_params(rng, d, f)
+        x, params = rng.standard_normal(tuple(lead) + (t, d)), layer_params(rng, d, f)
         c = rng.standard_normal(x.shape)
-        fused = values_and_grads(lambda *a: feed_forward_block(*a) * c, x, *params)
-        chain = values_and_grads(lambda *a: feed_forward_chain(*a) * c, x, *params)
+        fused = values_and_grads(lambda *a: layer_node(*a, heads=1) * c, x, *params)
+        chain = values_and_grads(lambda *a: layer_chain(*a, heads=1) * c, x, *params)
         assert_bitwise(fused, chain)
 
 
@@ -561,22 +594,24 @@ def grads_with_rebinding(forward, arrays, index):
 
 
 class TestAttentionRecompute:
-    """``attention_block`` keeps only the norm's std for backward and rebuilds
-    the rest from the arrays the forward read."""
+    """The encoder block node keeps only the two norms' stds for backward and
+    rebuilds the attention half, and from it the feed-forward input, from the
+    arrays the forward read."""
 
     @pytest.mark.parametrize("rows", [None, 2])
     def test_node_keeps_only_std(self, rng, rows):
         x = Tensor(rng.standard_normal((8, 50, 64)), requires_grad=True)
-        params = [Tensor(p, requires_grad=True) for p in attention_params(rng, 64)]
-        out = attention_block(x, *params, 4, rows=rows, collect=[])
-        assert [a.shape for a in held_beyond_parents(out, (x, *params))] == [(8, 50, 1)]
+        params = [Tensor(p, requires_grad=True) for p in layer_params(rng, 64, 128)]
+        out = layer_node(x, *params, heads=4, rows=rows, collect=[])
+        held = sorted(a.shape for a in held_beyond_parents(out, (x, *params)))
+        assert held == sorted([(8, 50, 1), (8, 50 if rows is None else rows, 1)])
 
     @pytest.mark.parametrize("rebound", ["wq", "x"])
     @pytest.mark.parametrize("rows", [None, 2])
     def test_rebinding_data_after_forward_keeps_gradients(self, rng, rebound, rows):
-        arrays = [rng.standard_normal((2, 6, 8))] + attention_params(rng, 8)
+        arrays = [rng.standard_normal((2, 6, 8))] + layer_params(rng, 8, 12)
         c = rng.standard_normal((2, 6 if rows is None else rows, 8))
-        forward = lambda *leaves: attention_block(*leaves, 2, rows=rows) * c
+        forward = lambda *leaves: layer_node(*leaves, heads=2, rows=rows) * c
         index = 0 if rebound == "x" else 3
         assert_bitwise(grads_with_rebinding(forward, arrays, index),
                        grads_with_rebinding(forward, arrays, None))
@@ -590,32 +625,36 @@ class TestAttentionRecompute:
         with both block nodes keeping only their norm's std, 55,844,856 with
         the output concatenating the frames the windows take in (its
         ``offsets`` array adds 208 bytes), 55,835,064 with the inverse std one
-        encoder buffer in place of a (3N,) leaf per forward pass, and now,
-        with one window-in and one frame-out node per frame that keep only
-        their parents (no standardized window, embedding product or head
-        output), 42,391,864."""
+        encoder buffer in place of a (3N,) leaf per forward pass,
+        42,391,864 with one window-in and one frame-out node per frame that
+        keep only their parents (no standardized window, embedding product or
+        head output), and now, with one node per encoder layer that rebuilds
+        its feed-forward input in place of keeping the attention half's
+        output, 26,827,064."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
-        assert graph_held_bytes(out) == 42_391_864
+        assert graph_held_bytes(out) == 26_827_064
 
 
 class TestFeedForwardRecompute:
-    """``feed_forward_block`` keeps only the norm's std for backward and
-    rebuilds xhat, the norm output and the relu output from the arrays the
-    forward read."""
+    """The encoder block node rebuilds the feed-forward half's input (the
+    attention half's output), xhat, the norm output and the relu output from
+    the arrays the forward read."""
 
     def test_node_keeps_only_std(self, rng):
+        """The node ``EncoderLayer`` builds, through its ``attention``."""
+        layer = EncoderLayer(EncoderConfig(input_dim=51), rng)
         x = Tensor(rng.standard_normal((8, 50, 64)), requires_grad=True)
-        params = [Tensor(p, requires_grad=True) for p in feed_forward_params(rng, 64, 128)]
-        out = feed_forward_block(x, *params)
-        assert [a.shape for a in held_beyond_parents(out, (x, *params))] == [(8, 50, 1)]
+        out = layer(x)
+        held = [a.shape for a in held_beyond_parents(out, (x, *layer.params()))]
+        assert held == [(8, 50, 1), (8, 50, 1)]
 
     @pytest.mark.parametrize("rebound", ["w1", "x"])
     def test_rebinding_data_after_forward_keeps_gradients(self, rng, rebound):
-        arrays = [rng.standard_normal((2, 6, 8))] + feed_forward_params(rng, 8, 12)
+        arrays = [rng.standard_normal((2, 6, 8))] + layer_params(rng, 8, 12)
         c = rng.standard_normal((2, 6, 8))
-        forward = lambda *leaves: feed_forward_block(*leaves) * c
-        index = 0 if rebound == "x" else 3
+        forward = lambda *leaves: layer_node(*leaves, heads=2) * c
+        index = 0 if rebound == "x" else 13  # w1, after x and 12 parameters
         assert_bitwise(grads_with_rebinding(forward, arrays, index),
                        grads_with_rebinding(forward, arrays, None))
 
@@ -697,11 +736,10 @@ class TestLayerNorm:
         assert np.allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-3)
 
     def test_mismatched_gain(self, rng):
-        x, gain = Tensor(np.zeros((2, 4))), np.ones(3)
-        with pytest.raises(DimensionError):
-            attention_block(x, gain, *attention_params(rng, 4)[1:], 1)
-        with pytest.raises(DimensionError):
-            feed_forward_block(x, gain, *feed_forward_params(rng, 4, 5)[1:])
+        x, gain, params = Tensor(np.zeros((2, 4))), np.ones(3), layer_params(rng, 4, 5)
+        for i in (0, 10):  # the attention's norm, then the feed-forward's
+            with pytest.raises(DimensionError, match=r"\(3,\)"):
+                layer_node(x, *params[:i], gain, *params[i + 1:], heads=1)
 
     def test_gradcheck(self, rng):
         for _ in range(10):

@@ -186,9 +186,10 @@ class TestTrainStep:
         unnoticed: 733 nodes with the rollout stacking its predictions, 710
         once it concatenated the frames its windows take in and each forward
         pass took its output frame once, 687 once the inverse std was one
-        encoder buffer in place of a new leaf per forward pass, and 515 with
+        encoder buffer in place of a new leaf per forward pass, 515 with
         one window-in and one frame-out node per forward pass in place of
-        the input and output chains."""
+        the input and output chains, and 415 with one node per encoder layer
+        in place of its attention and feed-forward nodes."""
         from advmt.data import window
         from advmt.discriminator import DiscriminatorModel
         from advmt.model import EncoderModel
@@ -212,7 +213,7 @@ class TestTrainStep:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     todo.append(parent)
-        assert len(seen) == 515
+        assert len(seen) == 415
 
     def test_nan_gradient_stops_before_adam_step(self, topo17, monkeypatch):
         # A backward rule that yields NaN (injected into sqrt's, which the
