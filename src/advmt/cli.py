@@ -285,9 +285,10 @@ def cmd_eval(args) -> int:
     if corpus_set.test is None:
         raise AdvmtError(f"{args.data}: corpus has no test split to evaluate")
     fps = corpus_set.test.sequences[0].fps
-    horizons = HorizonSet(
-        milliseconds=tuple(int(m) for m in args.horizons.split(",")), fps=fps
-    )
+    try:
+        horizons = HorizonSet([int(m) for m in args.horizons.split(",")], fps)
+    except ValueError as exc:  # a HorizonError, or int() naming the entry
+        raise AdvmtError(f"--horizons: {exc}") from None
 
     model = None
     checkpoint_label = ""

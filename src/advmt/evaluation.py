@@ -33,6 +33,10 @@ class HorizonSet:
 
     def __post_init__(self):
         object.__setattr__(self, "milliseconds", tuple(self.milliseconds))
+        for i, ms in enumerate(self.milliseconds):
+            if ms in self.milliseconds[:i]:
+                raise HorizonError(f"horizon {ms} ms is given twice")
+            horizon_frames(ms, self.fps)
 
     def frames(self) -> tuple:
         return tuple(horizon_frames(ms, self.fps) for ms in self.milliseconds)
@@ -43,7 +47,9 @@ def horizon_frames(ms: int, fps: int) -> int:
     if fps <= 0 or 1000 % fps != 0:
         raise HorizonError(f"{fps} fps has a non-integer frame period in ms")
     period = 1000 // fps
-    if ms <= 0 or ms % period != 0:
+    if ms <= 0:
+        raise HorizonError(f"a horizon must be positive, got {ms} ms")
+    if ms % period != 0:
         raise HorizonError(f"{ms} ms is not a multiple of the {period} ms frame period")
     return ms // period
 

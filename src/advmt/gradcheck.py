@@ -161,12 +161,12 @@ def _chain_topology(n):
 
 
 def _encoder_layer(rng):
-    cfg = EncoderConfig(
-        input_dim=6, num_layers=1, num_heads=2, model_dim=16, ff_dim=24, history_len=6
-    )
+    cfg = EncoderConfig(input_dim=6, num_layers=1, num_heads=2, model_dim=16, ff_dim=24,
+                        history_len=6)
     layer = EncoderLayer(cfg, rng)
     x, c = rng.standard_normal((6, 16)), rng.standard_normal((6, 16))
-    return layer.params(), [x], lambda ts: (layer(ts[0]) * c).sum()
+    stacked = lambda ts: tensor.encoder_stack(layer(tensor.source(ts[0])))
+    return layer.params(), [x], lambda ts: (stacked(ts) * c).sum()
 
 
 def _rollout(l_frames):
@@ -224,10 +224,12 @@ def _total_loss_end_to_end(rng):
 _LAYER_PARAMS = ((6,), (6,)) + ((6, 6), (6,)) * 4 + ((6,), (6,), (6, 7), (7,), (7, 6), (6,))
 
 
-def _layer(rows=None):
-    """The encoder block node on an input and ``_LAYER_PARAMS``, 2 heads."""
-    return lambda x, *p: tensor.encoder_block(
-        tensor.attention_block(x, *p[:10], 2, rows=rows), *p[10:])
+def _stack(first, rows=None):
+    """The encoder-stack node on the stage ``tensor.<first>`` makes of the
+    leading inputs, then one layer of the last ``_LAYER_PARAMS``, 2 heads."""
+    n = len(_LAYER_PARAMS)
+    return lambda *ts: tensor.encoder_stack(tensor.feed_forward_block(tensor.attention_block(
+        getattr(tensor, first)(*ts[:-n]), *ts[-n:-6], 2, rows=rows), *ts[-6:]))
 
 
 _SUITE = (
@@ -248,9 +250,10 @@ _SUITE = (
                           _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),
     ("concat", 1e-6, _probe(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
     ("linear", 1e-6, _probe(_op("linear", (2, 3, 5), (5, 4), (4,)))),
-    ("encoder_block", 1e-6, _probe(_op(_layer(), (2, 4, 6), *_LAYER_PARAMS))),
-    ("encoder_block_rows", 1e-6, _probe(_op(_layer(rows=2), (2, 5, 6), *_LAYER_PARAMS))),
-    ("window_in", 1e-6, _probe(_op("window_in", (2, 4, 6), (2, 1, 6), (6,), (6, 5), (5,), (4, 5)))),
+    ("encoder_stack", 1e-6, _probe(_op(_stack("window_in"), (2, 4, 5), (2, 1, 5), (5,), (5, 6),
+                                       (6,), (4, 6), *_LAYER_PARAMS))),
+    ("encoder_stack_rows", 1e-6, _probe(_op(_stack("source", rows=2), (2, 5, 6),
+                                            *_LAYER_PARAMS))),
     ("frame_out", 1e-6, _probe(_op("frame_out", (2, 1, 6), (2, 2, 5), (5, 6), (6,), (6,)))),
     ("backward_mlp", 1e-5, _probe(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
     ("encoder_layer", 1e-4, _probe(_encoder_layer, coords=10)),

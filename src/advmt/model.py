@@ -9,14 +9,13 @@ over the model's own predictions.
 There is deliberately no causal mask: the encoder only ever sees a fully
 observed window, never future targets, so masking would not hide anything.
 
-Each encoder layer is one graph node, ``tensor.encoder_block``: its
-``attention`` runs the attention half's forward (``tensor.attention_block``:
-pre-norm, q/k/v, per-head softmax, out-projection, residual) and the node
-adds the feed-forward half (pre-norm, ff1, relu, ff2, residual); backward
-rebuilds both halves from the layer input. The input and output transforms
-are one ``tensor.window_in`` and one ``tensor.frame_out`` node.
-``LayerNorm`` and ``Linear`` objects only hold parameters, in checkpoint
-order.
+Besides the root offset's small nodes, a forward pass is two graph nodes.
+``tensor.encoder_stack`` runs the input transform (``tensor.window_in``)
+and every layer: a layer's ``attention`` runs its attention half
+(``tensor.attention_block``), ``__call__`` its feed-forward half
+(``tensor.feed_forward_block``), and backward rebuilds them all from the
+window. ``tensor.frame_out`` is the output transform. ``LayerNorm`` and
+``Linear`` only hold parameters, in checkpoint order.
 
 Because the head reads only the last token, the last layer computes keys
 and values from all T tokens but queries, attention output, residual and
@@ -149,7 +148,7 @@ class Linear:
 
 
 class LayerNorm:
-    """Gain and bias of a pre-norm; the block nodes in ``tensor`` apply it."""
+    """Gain and bias of a pre-norm; the stages in ``tensor`` apply it."""
 
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
@@ -170,7 +169,7 @@ HEAD_ROWS = 2
 
 
 class EncoderLayer:
-    """Pre-norm residual block as one graph node: x + MHA(LN(x)), then + FF(LN(.))."""
+    """Pre-norm residual block as two stages: x + MHA(LN(x)), then + FF(LN(.))."""
 
     def __init__(self, cfg: EncoderConfig, rng):
         d = cfg.model_dim
@@ -184,20 +183,22 @@ class EncoderLayer:
         self.ff1 = Linear(d, cfg.ff_dim, rng)
         self.ff2 = Linear(cfg.ff_dim, d, rng)
 
-    def attention(self, x: Tensor, collect=None, rows=None) -> tensor.Attended:
-        """The forward of the attention half-block, x + MHA(LN(x)), which
-        ``__call__`` finishes into the layer's node; with ``rows``, only the
-        last ``rows`` tokens query, so its output is (..., rows, D)."""
+    def attention(self, x: tensor.Stage, collect=None, rows=None) -> tensor.Stage:
+        """The attention half-block, x + MHA(LN(x)), as a stage that
+        ``__call__`` finishes into the layer's; with ``rows``, only the last
+        ``rows`` tokens query, so its output is (..., rows, D)."""
         return tensor.attention_block(
             x, *self.ln1.params(), *self.wq.params(), *self.wk.params(), *self.wv.params(),
             *self.wo.params(), self.num_heads, rows=rows, collect=collect,
         )
 
-    def __call__(self, x: Tensor, collect=None, rows=None) -> Tensor:
-        """(..., T, D) -> (..., T, D); with ``rows``, only the last ``rows``
-        tokens' outputs, (..., rows, D), computed from all T tokens."""
-        return tensor.encoder_block(self.attention(x, collect=collect, rows=rows),
-                                    *self.ln2.params(), *self.ff1.params(), *self.ff2.params())
+    def __call__(self, x: tensor.Stage, collect=None, rows=None) -> tensor.Stage:
+        """The stage of a (..., T, D) output -> the stage of the layer's
+        (..., T, D) output; with ``rows``, only the last ``rows`` tokens'
+        outputs, (..., rows, D), computed from all T tokens."""
+        return tensor.feed_forward_block(self.attention(x, collect=collect, rows=rows),
+                                         *self.ln2.params(), *self.ff1.params(),
+                                         *self.ff2.params())
 
     def params(self):
         parts = (self.ln1, self.wq, self.wk, self.wv, self.wo, self.ln2, self.ff1, self.ff2)
@@ -254,7 +255,7 @@ class EncoderModel:
         h = tensor.window_in(x, offset, self._inverse_std, *self.embed.params(), self._pe)
         for layer in self.layers[:-1]:
             h = layer(h, collect=collect_attention)
-        h = self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS)
+        h = tensor.encoder_stack(self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS))
         return tensor.frame_out(last_frame, h, *self.head.params(), self.delta_scale)
 
 

@@ -38,7 +38,7 @@ def no_grad():
         _grad_enabled = prev
 
 
-# A train step frees its whole graph (the step peaks at about 82 MB at batch
+# A train step frees its whole graph (the step peaks at about 69 MB at batch
 # 8) when it returns, and a no-grad rollout frees each forward's buffers. glibc
 # gives the free top of its heap back to the OS once it exceeds a trim
 # threshold that it adapts to earlier allocations, so whether the next step
@@ -398,53 +398,91 @@ def _check_block(op: str, shape: tuple, params: tuple, shapes: list):
         )
 
 
-class Attended(NamedTuple):
-    """``attention_block``'s output array, the tensors it read (input first) and
-    ``backward(downstream)``: it rebuilds out, takes (out's gradient, more
-    gradients) from ``downstream(out)`` and returns ``parents``' gradients, then the more."""
+class Stage(NamedTuple):
+    """A forward step of a chain that ``encoder_stack`` makes one node.
+    ``backward(downstream)`` rebuilds out from arrays bound at build time,
+    takes (out's gradient, more) from ``downstream(out)`` and returns
+    ``parents``' gradients, then the more. A stage keeps no activation and
+    matches its oracle chain in the tests bit for bit."""
     out: np.ndarray
     parents: tuple
     backward: Callable
 
 
-def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
-                    collect=None) -> Attended:
-    """The forward of the pre-norm attention half-block ``x + MHA(LN(x))``,
-    which ``encoder_block`` finishes into one node.
-
-    x is (..., T, D). ``h = LN(x)`` (gain, bias), projections
-    ``q = h @ wq + bq`` and likewise k and v, per-head
-    ``softmax(q kᵀ / sqrt(D/H)) v``, merged back to (..., T, D), then
-    ``@ wo + bo`` and the residual x. With ``rows``, only the last ``rows``
-    tokens query (keys and values still come from all T) and the output is
-    their (..., rows, D). The probabilities, (..., H, Tq, T), go to
-    ``collect`` (a list) when given.
-
-    Only the norm's (..., T, 1) std is kept. Backward rebuilds xhat, ``h``,
-    q, k, v, the probabilities, the merged context and the output from the
-    input and the parameters with the forward's own helper, so they hold the
-    forward's bytes; it reads the arrays the forward read, bound here, even
-    if a ``.data`` is rebound in between.
-    The numpy expressions and the gradient summation order are those of the
-    ``layer_norm``, ``linear``, ``take``, ``attention``, ``linear``,
-    ``add`` chain kept as the oracle in the tests: the gradient at ``h`` is
-    (q-path + k-path) + v-path, the q-path scattered into zeros first when
-    ``rows`` is given, and the input's is residual + norm path. So values and
-    gradients equal the chain's bit for bit.
-    """
+def source(x) -> Stage:
+    """A tensor as a chain's first stage."""
     x = as_tensor(x)
-    params = tuple(as_tensor(p) for p in (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo))
-    d = x.shape[-1] if x.ndim else 0
-    _check_block("attention_block", x.shape, params, [(d,), (d,)] + [(d, d), (d,)] * 4)
-    if heads < 1 or d % heads:
-        raise DimensionError(f"attention_block: shape {x.shape} does not split into {heads} heads")
-    t = x.shape[-2]
-    if rows is not None and not 1 <= rows <= t:
-        raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {x.shape}")
     x_d = x.data
+
+    def backward(downstream):
+        g, more = downstream(x_d)
+        return (g,) + more
+
+    return Stage(x_d, (x,), backward)
+
+
+def _next_stage(upstream: Stage, out: np.ndarray, params: tuple, at_input: Callable) -> Stage:
+    """The stage after ``upstream``; ``at_input(x, downstream)`` gets upstream's
+    rebuilt output x and returns (x's gradient, ``params``' gradients + more)."""
+    upstream_backward = upstream.backward
+
+    def backward(downstream):
+        return upstream_backward(lambda x: at_input(x, downstream))
+
+    return Stage(out, upstream.parents + params, backward)
+
+
+def window_in(x, offset, inv_std, W, b, pe) -> Stage:
+    """The encoder's input transform ``((x - offset) * inv_std) @ W + b + pe``
+    on a (..., T, 3N) window as a first stage; the oracle is ``sub``, ``mul``,
+    ``linear``, ``add``."""
+    parents = tuple(as_tensor(p) for p in (x, offset, inv_std, W, b, pe))
+    _check_matmul(parents[0].shape, parents[3].shape, "window_in")
+    x_d, offset_d, inv_std_d, W_d, b_d, pe_d = arrays = tuple(p.data for p in parents)
+
+    def forward():  # x - offset, that times inv_std, and the output
+        s = x_d - offset_d
+        z = s * inv_std_d
+        out = _affine(z, W_d, b_d)
+        out += pe_d
+        return s, z, out
+
+    def backward(downstream):
+        s, z, out = forward()
+        g, more = downstream(out)
+        gz, gW, gb = _affine_grads(z, W_d, b_d, g)
+        gs = _unbroadcast(gz * inv_std_d, s.shape)
+        grads = (gs, -gs, gz * s, gW, gb, g)
+        return tuple(_unbroadcast(gr, a.shape) for a, gr in zip(arrays, grads)) + more
+
+    return Stage(forward()[2], parents, backward)
+
+
+def attention_block(x: Stage, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
+                    collect=None) -> Stage:
+    """The pre-norm attention half ``x + MHA(LN(x))`` on stage ``x``'s
+    (..., T, D) output, as the next stage: ``h = LN(x)`` (gain, bias),
+    ``q = h @ wq + bq`` and likewise k and v, per-head
+    ``softmax(q kᵀ / sqrt(D/H)) v`` merged back to (..., T, D), ``@ wo + bo``
+    and the residual. With ``rows``, only the last ``rows`` tokens query
+    (keys and values still come from all T) and the output is their
+    (..., rows, D). ``collect`` (a list) gets the (..., H, Tq, T)
+    probabilities. The oracle is ``layer_norm``, ``linear``, ``take``,
+    ``attention``, ``linear``, ``add``: the gradient at ``h`` is (q-path +
+    k-path) + v-path, the q-path scattered into zeros first when ``rows`` is
+    given, and the input's is residual + norm path."""
+    params = tuple(as_tensor(p) for p in (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo))
+    shape = x.out.shape
+    d = shape[-1] if shape else 0
+    _check_block("attention_block", shape, params, [(d,), (d,)] + [(d, d), (d,)] * 4)
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention_block: shape {shape} does not split into {heads} heads")
+    t = shape[-2]
+    if rows is not None and not 1 <= rows <= t:
+        raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {shape}")
     gain_d, bias_d, wq_d, bq_d, wk_d, bk_d, wv_d, bv_d, wo_d, bo_d = (p.data for p in params)
     scale = 1.0 / math.sqrt(d // heads)
-    q_shape = x.shape[:-2] + (t if rows is None else rows, d)
+    q_shape = shape[:-2] + (t if rows is None else rows, d)
 
     def heads_of(a):  # (..., T, D) -> (..., H, T, D/H)
         return a.reshape(a.shape[:-1] + (heads, d // heads)).swapaxes(-3, -2)
@@ -455,7 +493,7 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
     def queried(a):  # the rows that query
         return a if rows is None else a[..., -rows:, :]
 
-    def forward(std=None):  # the merged context, the norm's std and what backward reads
+    def forward(x_d, std=None):  # the merged context, the norm's std and what backward reads
         xhat, std = _normalize(x_d, std)
         h = xhat * gain_d + bias_d
         qh = heads_of(_affine(queried(h), wq_d, bq_d))
@@ -467,17 +505,17 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
         probs /= probs.sum(axis=-1, keepdims=True)
         return merged(probs @ vh, q_shape), std, (xhat, h, qh, kh, vh, probs)
 
-    def output(ctx):  # the half's output, the feed-forward input
+    def output(x_d, ctx):  # the half's output, the feed-forward input
         return queried(x_d) + _affine(ctx, wo_d, bo_d)
 
-    ctx, std, state = forward()
+    ctx, std, state = forward(x.out)
     if collect is not None:
         collect.append(state[-1])
     del state
 
-    def backward(downstream):  # in-place steps and early ``del``s keep few temporaries alive
-        ctx, _, (xhat, h, qh, kh, vh, probs) = forward(std)
-        g, more = downstream(output(ctx))
+    def at_input(x_d, downstream):  # in-place steps and early ``del``s keep few temporaries alive
+        ctx, _, (xhat, h, qh, kh, vh, probs) = forward(x_d, std)
+        g, more = downstream(output(x_d, ctx))
         gctx, gwo, gbo = _affine_grads(ctx, wo_d, bo_d, g)
         gctx = heads_of(gctx)
         del ctx
@@ -503,9 +541,9 @@ def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, r
         del gv, ghv, h, hq
         gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
         gx += g
-        return (gx, ggain, gbias, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo) + more
+        return gx, (ggain, gbias, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo) + more
 
-    return Attended(output(ctx), (x,) + params, backward)
+    return _next_stage(x, output(x.out, ctx), params, at_input)
 
 
 def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
@@ -515,39 +553,31 @@ def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
     return out
 
 
-def encoder_block(attended: Attended, gain, bias, w1, b1, w2, b2) -> Tensor:
-    """A whole pre-norm encoder layer as one node: the attention half
-    ``attended`` (what ``attention_block`` returned), then the feed-forward
-    half ``a + relu(LN(a) @ w1 + b1) @ w2 + b2`` on its (..., T, D) output a.
-
-    Beyond its parents the node keeps only the two norms' (..., T, 1) stds.
-    Backward rebuilds a with the attention half's own helper
-    (``attended.backward``), then from a and the arrays bound here the
-    feed-forward half's xhat, norm output and relu output; it runs that
-    half's vjp, then the attention's on a's gradient. The feed-forward half
-    has the numpy expressions and summation order of the ``layer_norm``,
-    ``linear``, ``relu``, ``linear``, ``add`` chain kept as the tests' oracle
-    (a's gradient is residual + norm path), and a had one consumer there, so
-    values and gradients equal the two chains' bit for bit.
-    """
+def feed_forward_block(attended: Stage, gain, bias, w1, b1, w2, b2) -> Stage:
+    """The pre-norm feed-forward half ``a + relu(LN(a) @ w1 + b1) @ w2 + b2``
+    on the (..., T, D) output a of ``attended``, as the next stage. The
+    oracle is ``layer_norm``, ``linear``, ``relu``, ``linear``, ``add``; a's
+    gradient is residual + norm path."""
     params = tuple(as_tensor(p) for p in (gain, bias, w1, b1, w2, b2))
     a_d, d = attended.out, attended.out.shape[-1]
     f = params[2].shape[-1] if params[2].ndim == 2 else None
-    _check_block("encoder_block", a_d.shape, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
+    _check_block("feed_forward_block", a_d.shape, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
     gain_d, bias_d, w1_d, b1_d, w2_d, b2_d = (p.data for p in params)
-    attention_backward, parents = attended.backward, attended.parents + params
 
-    def hidden(xhat):  # the norm output h and the relu output r
+    def hidden(a, std=None):  # the norm's xhat and std, its output h and the relu output r
+        xhat, std = _normalize(a, std)
         h = xhat * gain_d + bias_d
         r = _affine(h, w1_d, b1_d)
-        return h, _relu(r, out=r)
+        return xhat, std, h, _relu(r, out=r)
 
-    xhat, std = _normalize(a_d)
-    out = a_d + _affine(hidden(xhat)[1], w2_d, b2_d)
+    def output(a, r):
+        return a + _affine(r, w2_d, b2_d)
 
-    def feed_forward_backward(g, a):  # (a's gradient, the parameters' gradients)
-        xhat, _ = _normalize(a, std)
-        h, r = hidden(xhat)
+    std, r = hidden(a_d)[1::2]
+
+    def at_input(a, downstream):
+        xhat, _, h, r = hidden(a, std)
+        g, more = downstream(output(a, r))
         gr, gw2, gb2 = _affine_grads(r, w2_d, b2_d, g)
         gr *= r > 0  # the relu's mask: r > 0 exactly where its input is
         del r
@@ -555,39 +585,23 @@ def encoder_block(attended: Attended, gain, bias, w1, b1, w2, b2) -> Tensor:
         del gr, h
         ga, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
         ga += g
-        return ga, (ggain, gbias, gw1, gb1, gw2, gb2)
+        return ga, (ggain, gbias, gw1, gb1, gw2, gb2) + more
+
+    return _next_stage(attended, output(a_d, r), params, at_input)
+
+
+def encoder_stack(stage: Stage) -> Tensor:
+    """The chain of stages that ends in ``stage`` (``window_in`` or ``source``,
+    then ``attention_block`` and ``feed_forward_block`` per encoder layer) as
+    one node that keeps its parents and each norm's (..., T, 1) std. Backward
+    rebuilds the chain from its first stage, keeps every stage's state alive
+    on the way down and runs their vjps back up."""
+    parents, backward = stage.parents, stage.backward
 
     def vjp(g):
-        return tuple(zip(parents, attention_backward(lambda a: feed_forward_backward(g, a))))
+        return tuple(zip(parents, backward(lambda out: (g, ()))))
 
-    return Tensor._result(out, parents, vjp)
-
-
-def window_in(x, offset, inv_std, W, b, pe) -> Tensor:
-    """The encoder's input transform ``((x - offset) * inv_std) @ W + b + pe``
-    on a (..., T, 3N) window, as one node that keeps only its parents: backward
-    rebuilds the standardized window from the arrays bound at build time. The
-    numpy expressions and gradient summation order, so the bytes, are those of
-    the ``sub``, ``mul``, ``linear``, ``add`` chain kept as the tests' oracle."""
-    parents = tuple(as_tensor(p) for p in (x, offset, inv_std, W, b, pe))
-    _check_matmul(parents[0].shape, parents[3].shape, "window_in")
-    x_d, offset_d, inv_std_d, W_d, b_d, pe_d = arrays = tuple(p.data for p in parents)
-
-    def standardized():  # x - offset, and that times inv_std
-        s = x_d - offset_d
-        return s, s * inv_std_d
-
-    out = _affine(standardized()[1], W_d, b_d)
-    out += pe_d
-
-    def vjp(g):
-        s, z = standardized()
-        gz, gW, gb = _affine_grads(z, W_d, b_d, g)
-        gs = _unbroadcast(gz * inv_std_d, s.shape)
-        grads = (gs, -gs, gz * s, gW, gb, g)
-        return tuple((p, _unbroadcast(gr, a.shape)) for p, a, gr in zip(parents, arrays, grads))
-
-    return Tensor._result(out, parents, vjp)
+    return Tensor._result(stage.out, parents, vjp)
 
 
 def frame_out(last_frame, h, W, b, scale) -> Tensor:

@@ -330,6 +330,23 @@ class TestEval:
         assert "--render must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("horizons,named", [
+        ("", "--horizons: invalid literal for int() with base 10: ''"),
+        ("160,x", "--horizons: invalid literal for int() with base 10: 'x'"),
+        ("0", "--horizons: a horizon must be positive, got 0 ms"),
+        ("-40", "--horizons: a horizon must be positive, got -40 ms"),
+        ("160,167", "--horizons: 167 ms is not a multiple of the 40 ms frame period"),
+        ("160,400,160", "--horizons: horizon 160 ms is given twice"),
+    ], ids=["empty", "not_a_number", "zero", "negative", "off_period", "repeated"])
+    def test_bad_horizons_exit_2(self, tmp_path, corpus_dir, horizons, named, capsys):
+        """Each refusal names the flag and the bad entry, before any output."""
+        assert run("eval", "--baseline-only", "--history-frames", "50",
+                   "--data", str(corpus_dir / "manifest.json"), "--out", str(tmp_path / "x"),
+                   "--horizons", horizons) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, corpus_dir):
         assert run("eval", "--checkpoint", str(tmp_path / "none.ckpt"),
                    "--data", str(corpus_dir / "manifest.json"),
@@ -479,3 +496,16 @@ class TestGradcheck:
         assert run("gradcheck", "--instances", "1") == 1
         out = capsys.readouterr()
         assert "relu" in out.err
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m advmt`` is the ``advmt`` command."""
+    from advmt import __version__
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-m", "advmt", "--version"], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"advmt {__version__}"

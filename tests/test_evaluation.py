@@ -41,6 +41,15 @@ class TestHorizonFrames:
         with pytest.raises(HorizonError):
             horizon_frames(167, 25)
 
+    @pytest.mark.parametrize("ms", [0, -40, -7])
+    def test_non_positive_rejected_as_such(self, ms):
+        with pytest.raises(HorizonError, match=rf"^a horizon must be positive, got {ms} ms$"):
+            horizon_frames(ms, 25)
+
+    def test_repeated_horizon_rejected(self):
+        with pytest.raises(HorizonError, match="^horizon 160 ms is given twice$"):
+            HorizonSet(milliseconds=(160, 400, 160))
+
     def test_default_set_maps_within_span(self):
         assert HorizonSet().frames() == (4, 10, 14, 18, 22, 25)
 

@@ -17,7 +17,7 @@ from advmt.model import (
     rollout_graph,
     save_checkpoint,
 )
-from advmt.tensor import Tensor, no_grad
+from advmt.tensor import Tensor, encoder_stack, no_grad, source
 
 
 def tiny_config(**overrides):
@@ -70,7 +70,7 @@ class TestAttentionBlock:
         cfg = tiny_config()
         layer = EncoderLayer(cfg, rng)
         collected = []
-        layer(Tensor(rng.standard_normal((8, 16))), collect=collected)
+        layer(source(Tensor(rng.standard_normal((8, 16)))), collect=collected)
         (probs,) = collected
         assert probs.shape == (2, 8, 8)
         assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
@@ -82,7 +82,7 @@ class TestAttentionBlock:
         layer.ff2.W.data[:] = 0.0
         layer.ff2.b.data[:] = 0.0
         x = rng.standard_normal((8, 16))
-        out = layer(Tensor(x))
+        out = encoder_stack(layer(source(Tensor(x))))
         assert np.array_equal(out.data, x)
 
 

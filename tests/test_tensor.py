@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,8 +13,8 @@ from advmt import tensor
 from advmt.errors import ContractError, DimensionError
 from advmt.gradcheck import central_difference, relative_error
 from advmt.model import HEAD_ROWS, EncoderConfig, EncoderLayer, EncoderModel, rollout_graph
-from advmt.tensor import (Tensor, as_tensor, attention_block, concat, encoder_block, frame_out,
-                          linear, matmul, window_in)
+from advmt.tensor import (Tensor, as_tensor, attention_block, concat, encoder_stack,
+                          feed_forward_block, frame_out, linear, matmul, source, window_in)
 
 
 def grad_of(forward, *arrays):
@@ -105,7 +106,7 @@ class TestElementwise:
 
 
 # -- oracles: the engine's layer-norm and attention nodes before the block nodes,
-# and the chains of them the encoder block node replaces
+# and the chains of them the encoder-stack node replaces
 
 
 def layer_norm(x, gain, bias, eps=1e-5) -> Tensor:
@@ -165,7 +166,7 @@ def attention(q, k, v, heads, scale, collect=None) -> Tensor:
 
 
 def attention_block_chain(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, rows=None):
-    """The attention half of ``encoder_block`` as eight nodes (ten with ``rows``)."""
+    """The ``attention_block`` stage as eight nodes (ten with ``rows``)."""
     h = layer_norm(x, gain, bias)
     q = h if rows is None else h[..., -rows:, :]
     ctx = attention(linear(q, wq, bq), linear(h, wk, bk), linear(h, wv, bv), heads,
@@ -175,20 +176,20 @@ def attention_block_chain(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads, 
 
 
 def feed_forward_chain(x, gain, bias, w1, b1, w2, b2):
-    """The feed-forward half of ``encoder_block`` as five nodes."""
+    """The ``feed_forward_block`` stage as five nodes."""
     return x + linear(tensor.relu(linear(layer_norm(x, gain, bias), w1, b1)), w2, b2)
 
 
 def layer_chain(x, *params, heads, rows=None):
-    """``encoder_block`` as the two chains it replaces; ``params`` are the
+    """A layer's two stages as the two chains they replace; ``params`` are the
     attention half's ten, then the feed-forward half's six."""
     return feed_forward_chain(attention_block_chain(x, *params[:10], heads, rows), *params[10:])
 
 
 def layer_node(x, *params, heads, rows=None, collect=None):
-    """The encoder block node on the parameters ``layer_chain`` takes."""
-    return encoder_block(attention_block(x, *params[:10], heads, rows=rows, collect=collect),
-                         *params[10:])
+    """One encoder layer's two stages as a node, on the parameters ``layer_chain`` takes."""
+    attended = attention_block(source(x), *params[:10], heads, rows=rows, collect=collect)
+    return encoder_stack(feed_forward_block(attended, *params[10:]))
 
 
 def attention_params(rng, d):
@@ -206,6 +207,37 @@ def window_in_chain(x, offset, inv_std, W, b, pe):
 def frame_out_chain(last_frame, h, W, b, scale):
     """``frame_out`` as the ``take``, ``linear``, ``mul``, ``add``, ``take`` nodes it replaces."""
     return (last_frame + linear(h[..., -1:, :], W, b) * scale)[..., 0, :]
+
+
+def stack_node(*arrays, heads, rows=None, collect=None):
+    """``window_in`` on ``arrays``' first six, then a layer's two stages per
+    16 more (``rows`` on the last), as one encoder-stack node."""
+    h = window_in(*arrays[:6])
+    layers = [arrays[i:i + 16] for i in range(6, len(arrays), 16)]
+    for i, params in enumerate(layers):
+        attended = attention_block(h, *params[:10], heads,
+                                   rows=rows if i == len(layers) - 1 else None, collect=collect)
+        h = feed_forward_block(attended, *params[10:])
+    return encoder_stack(h)
+
+
+def stack_chain(*arrays, heads, rows=None):
+    """``stack_node`` as the window-in chain and a ``layer_chain`` per layer."""
+    h = window_in_chain(*arrays[:6])
+    layers = [arrays[i:i + 16] for i in range(6, len(arrays), 16)]
+    for i, params in enumerate(layers):
+        h = layer_chain(h, *params, heads=heads, rows=rows if i == len(layers) - 1 else None)
+    return h
+
+
+def window_in_arrays(rng, lead):
+    """A (..., 50, 51) window whose last root has a -0.0 coordinate, its offset,
+    and the inverse std, embedding and positional code of the default encoder."""
+    x = rng.standard_normal(lead + (50, 51))
+    offset = np.tile(x[..., -1:, :3], 17) + rng.standard_normal(51)
+    x[..., -1, 0] = offset[..., 0, 0] = -0.0  # a -0.0 root coordinate
+    return [x, offset, rng.uniform(0.5, 2.0, 51), rng.standard_normal((51, 64)) / 8,
+            0.1 * rng.standard_normal(64), rng.standard_normal((50, 64))]
 
 
 def forward_window_chain(enc, x):
@@ -256,7 +288,7 @@ def softmax_rows(x):
 
 class TestSoftmax:
     """The softmax inside the ``attention`` oracle, and in ``attention_block``,
-    the attention half of the encoder block node."""
+    the attention half of an encoder layer."""
 
     def test_symmetry(self):
         out = softmax_rows([0.0, 0.0, 0.0])
@@ -400,18 +432,20 @@ class TestFusedOps:
         (two ``take`` nodes pick the query and residual rows), the two block
         nodes 59, taking the output frame after the head's add, not
         before, 58, and the window-in and frame-out nodes in place of the
-        input and output chains, 51, and one node per encoder layer in place
-        of its attention and feed-forward nodes, 49."""
+        input and output chains, 51, one node per encoder layer in place
+        of its attention and feed-forward nodes, 49, and one encoder-stack
+        node in place of the window-in node and the layer nodes, 47."""
         cfg = EncoderConfig(input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24,
                             history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
         out = enc.forward_window(Tensor(np.ones((8, 6)), requires_grad=True))
-        assert len(graph_nodes(out)) == 49
+        assert len(graph_nodes(out)) == 47
 
     def test_rollout_frame_census(self):
-        """One more rollout frame adds the 4 layer nodes of a 4-layer encoder
-        (8 block nodes, an attention and a feed-forward node per layer, until
-        they became one), the window-in and frame-out nodes, and 6 small ones:
+        """One more rollout frame adds one encoder-stack node (until it
+        replaced them, the window-in node and the 4 layer nodes of a 4-layer
+        encoder, and before those 8 block nodes, an attention and a
+        feed-forward node per layer), the frame-out node, and 6 small ones:
         the ``take`` of the last frame, the root tiling's ``matmul``, the
         ``add`` of the mean, the ``reshape`` of the predicted frame, and the
         window slide's ``take`` and ``concat``."""
@@ -426,19 +460,42 @@ class TestFusedOps:
         added = census(3)
         added.subtract(census(2))
         assert {op: n for op, n in added.items() if n} == {
-            "encoder_block": 4, "window_in": 1, "frame_out": 1,
+            "encoder_stack": 1, "frame_out": 1,
             "take": 2, "matmul": 1, "add": 1, "reshape": 1, "concat": 1}
 
     @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
     def test_window_in_matches_chain(self, rng, lead):
-        x = rng.standard_normal(lead + (50, 51))
-        offset = np.tile(x[..., -1:, :3], 17) + rng.standard_normal(51)
-        x[..., -1, 0] = offset[..., 0, 0] = -0.0  # a -0.0 root coordinate
-        arrays = [x, offset, rng.uniform(0.5, 2.0, 51), rng.standard_normal((51, 64)) / 8,
-                  0.1 * rng.standard_normal(64), rng.standard_normal((50, 64))]
+        """The window-in stage alone, closed into a node."""
+        arrays = window_in_arrays(rng, lead)
         c = rng.standard_normal(lead + (50, 64))
-        assert_bitwise(values_and_grads(lambda *t: window_in(*t) * c, *arrays),
+        assert_bitwise(values_and_grads(lambda *t: encoder_stack(window_in(*t)) * c, *arrays),
                        values_and_grads(lambda *t: window_in_chain(*t) * c, *arrays))
+
+    @pytest.mark.parametrize("rows", [None, HEAD_ROWS])
+    @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
+    def test_encoder_stack_matches_chain(self, rng, lead, rows):
+        """The default encoder's stack (window-in and 4 layers, ``rows`` on the
+        last) against the window-in chain and 4 layer chains: values and every
+        gradient, with a -0.0 root coordinate and a -0.0 in the cotangent."""
+        arrays = window_in_arrays(rng, lead) + [a for _ in range(4)
+                                                for a in layer_params(rng, 64, 128)]
+        c = rng.standard_normal(lead + (50 if rows is None else rows, 64))
+        c[..., -1, 0] = -0.0
+        assert_bitwise(values_and_grads(lambda *t: stack_node(*t, heads=4, rows=rows) * c,
+                                        *arrays),
+                       values_and_grads(lambda *t: stack_chain(*t, heads=4, rows=rows) * c,
+                                        *arrays))
+
+    def test_encoder_stack_collects_every_layer(self, rng):
+        """(..., H, T, T) probabilities per layer, (..., H, 2, T) for the pruned last."""
+        arrays = window_in_arrays(rng, (2,)) + [a for _ in range(3)
+                                                for a in layer_params(rng, 64, 128)]
+        probs = []
+        out = stack_node(*[Tensor(a, requires_grad=True) for a in arrays], heads=4,
+                         rows=HEAD_ROWS, collect=probs)
+        assert out.shape == (2, HEAD_ROWS, 64)
+        assert [p.shape for p in probs] == [(2, 4, 50, 50)] * 2 + [(2, 4, HEAD_ROWS, 50)]
+        assert all(np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12 for p in probs)
 
     @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
     def test_frame_out_matches_chain(self, rng, lead):
@@ -457,7 +514,7 @@ class TestFusedOps:
             Tensor(rng.standard_normal((8, 1, 51)), requires_grad=True)
         params = [Tensor(a, requires_grad=True) for a in (
             np.ones(51), rng.standard_normal((51, 64)), np.zeros(64), np.ones((50, 64)))]
-        h = window_in(x, offset, *params)
+        h = encoder_stack(window_in(x, offset, *params))
         assert held_beyond_parents(h, (x, offset, *params)) == []
         head = [Tensor(a, requires_grad=True) for a in (
             rng.standard_normal((64, 51)), np.zeros(51), np.ones(51))]
@@ -507,7 +564,7 @@ class TestFusedOps:
            heads=st.integers(1, 3), head_dim=st.integers(1, 3),
            rows=st.sampled_from([None, 1, 2, "T"]), seed=st.integers(0, 2**32 - 1))
     def test_attention_block_matches_chain(self, lead, t, heads, head_dim, rows, seed):
-        """The layer node over the attention half's heads and query rows."""
+        """One layer's stages as a node over the attention half's heads and query rows."""
         rng = np.random.default_rng(seed)
         d, rows = heads * head_dim, t if rows == "T" else rows
         x, params = rng.standard_normal(tuple(lead) + (t, d)), layer_params(rng, d, 3)
@@ -522,7 +579,7 @@ class TestFusedOps:
     @given(lead=st.lists(st.integers(1, 3), max_size=2), t=st.integers(1, 6),
            d=st.integers(1, 6), f=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
     def test_feed_forward_block_matches_chain(self, lead, t, d, f, seed):
-        """The layer node over the feed-forward half's widths, with one head."""
+        """One layer's stages as a node over the feed-forward half's widths, with one head."""
         rng = np.random.default_rng(seed)
         x, params = rng.standard_normal(tuple(lead) + (t, d)), layer_params(rng, d, f)
         c = rng.standard_normal(x.shape)
@@ -594,9 +651,9 @@ def grads_with_rebinding(forward, arrays, index):
 
 
 class TestAttentionRecompute:
-    """The encoder block node keeps only the two norms' stds for backward and
-    rebuilds the attention half, and from it the feed-forward input, from the
-    arrays the forward read."""
+    """A layer's stages, closed into a node, keep only the two norms' stds for
+    backward and rebuild the attention half, and from it the feed-forward
+    input, from the arrays the forward read."""
 
     @pytest.mark.parametrize("rows", [None, 2])
     def test_node_keeps_only_std(self, rng, rows):
@@ -628,24 +685,82 @@ class TestAttentionRecompute:
         encoder buffer in place of a (3N,) leaf per forward pass,
         42,391,864 with one window-in and one frame-out node per frame that
         keep only their parents (no standardized window, embedding product or
-        head output), and now, with one node per encoder layer that rebuilds
-        its feed-forward input in place of keeping the attention half's
-        output, 26,827,064."""
+        head output), 26,827,064 with one node per encoder layer that
+        rebuilds its feed-forward input in place of keeping the attention
+        half's output, and now, with one encoder-stack node per frame that
+        rebuilds the window-in output and every layer's in place of keeping
+        them, 6,347,064."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
-        assert graph_held_bytes(out) == 26_827_064
+        assert graph_held_bytes(out) == 6_347_064
+
+    def test_rollout_graph_peak_memory(self):
+        """Pinned so transient memory cannot grow unnoticed where held bytes do
+        not show it: the traced peak of a batch-8, 25-frame rollout's forward
+        and backward was 31,639,044 bytes with one node per encoder layer and
+        is 18,859,966 with one encoder-stack node per frame, whose backward
+        keeps every layer's rebuilt state alive at once."""
+        enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
+        window = Tensor(np.ones((8, 50, 51)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            rollout_graph(enc, window, 25).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19_500_000
+
+    def test_repeated_backward_accumulates_exactly(self):
+        """A second backward on one rollout graph doubles every gradient bit
+        for bit: the rebuild in backward reads and consumes nothing it changes."""
+        rng = np.random.default_rng(4)
+        enc = EncoderModel(EncoderConfig(input_dim=51), rng)
+        enc.set_frame_statistics(rng.standard_normal(51), rng.uniform(0.5, 2.0, 51),
+                                 rng.uniform(0.5, 2.0, 51))
+        window = Tensor(100.0 * rng.standard_normal((8, 50, 51)), requires_grad=True)
+        loss = (rollout_graph(enc, window, 5) * rng.standard_normal((8, 5, 51))).sum()
+        leaves = [window] + enc.parameters()
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        assert all((2.0 * g).tobytes() == t.grad.tobytes() for g, t in zip(once, leaves))
+
+
+class TestStackRecompute:
+    """The encoder-stack node keeps only each norm's std and rebuilds the
+    window-in output and every layer's from the arrays its stages bound."""
+
+    @pytest.mark.parametrize("rows", [None, HEAD_ROWS])
+    def test_node_keeps_only_stds(self, rng, rows):
+        leaves = [Tensor(a, requires_grad=True) for a in window_in_arrays(rng, (8,))
+                  + [a for _ in range(4) for a in layer_params(rng, 64, 128)]]
+        out = stack_node(*leaves, heads=4, rows=rows)
+        held = sorted(a.shape for a in held_beyond_parents(out, leaves))
+        assert held == sorted([(8, 50, 1)] * 7 + [(8, 50 if rows is None else rows, 1)])
+
+    # the window, the embedding weight, the second layer's wq and the first's w1
+    @pytest.mark.parametrize("rebound,index", [("x", 0), ("W", 3), ("wq", 24), ("w1", 18)])
+    def test_rebinding_data_after_forward_keeps_gradients(self, rng, rebound, index):
+        arrays = [rng.standard_normal((2, 6, 9)), rng.standard_normal((2, 1, 9)),
+                  rng.uniform(0.5, 2.0, 9), rng.standard_normal((9, 8)),
+                  rng.standard_normal(8), rng.standard_normal((6, 8))]
+        arrays += layer_params(rng, 8, 12) + layer_params(rng, 8, 12)
+        c = rng.standard_normal((2, 2, 8))
+        forward = lambda *leaves: stack_node(*leaves, heads=2, rows=2) * c
+        assert_bitwise(grads_with_rebinding(forward, arrays, index),
+                       grads_with_rebinding(forward, arrays, None))
 
 
 class TestFeedForwardRecompute:
-    """The encoder block node rebuilds the feed-forward half's input (the
+    """A layer's stages, closed into a node, rebuild the feed-forward half's input (the
     attention half's output), xhat, the norm output and the relu output from
     the arrays the forward read."""
 
     def test_node_keeps_only_std(self, rng):
-        """The node ``EncoderLayer`` builds, through its ``attention``."""
+        """The stages ``EncoderLayer`` builds, through its ``attention``, as a node."""
         layer = EncoderLayer(EncoderConfig(input_dim=51), rng)
         x = Tensor(rng.standard_normal((8, 50, 64)), requires_grad=True)
-        out = layer(x)
+        out = encoder_stack(layer(source(x)))
         held = [a.shape for a in held_beyond_parents(out, (x, *layer.params()))]
         assert held == [(8, 50, 1), (8, 50, 1)]
 
@@ -721,7 +836,7 @@ class TestBroadcastAndReduceRules:
 
 
 class TestLayerNorm:
-    """The layer-norm oracle the block nodes are held to, against hand values
+    """The layer-norm oracle the stages are held to, against hand values
     and finite differences; the blocks' own refusal of a bad gain."""
 
     def test_constant_input_is_bias(self, rng):

@@ -188,8 +188,10 @@ class TestTrainStep:
         pass took its output frame once, 687 once the inverse std was one
         encoder buffer in place of a new leaf per forward pass, 515 with
         one window-in and one frame-out node per forward pass in place of
-        the input and output chains, and 415 with one node per encoder layer
-        in place of its attention and feed-forward nodes."""
+        the input and output chains, 415 with one node per encoder layer
+        in place of its attention and feed-forward nodes, and 315 with one
+        encoder-stack node per forward pass in place of the window-in node
+        and the layer nodes."""
         from advmt.data import window
         from advmt.discriminator import DiscriminatorModel
         from advmt.model import EncoderModel
@@ -213,7 +215,7 @@ class TestTrainStep:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     todo.append(parent)
-        assert len(seen) == 415
+        assert len(seen) == 315
 
     def test_nan_gradient_stops_before_adam_step(self, topo17, monkeypatch):
         # A backward rule that yields NaN (injected into sqrt's, which the
