@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import platform
 import shutil
@@ -66,15 +67,23 @@ def _build_id() -> str:
     return __version__
 
 
-def _resolve_seed(flag_seed, cfg_seed):
+def _seed(value, source: str) -> int:
+    """``value``, refused, naming its ``source``, unless it is a non-negative int (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise AdvmtError(f"{source}: a seed must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _resolve_seed(flag_seed, cfg_seed) -> int:
+    """The flag's seed, else the config's, else ``ADVMT_SEED``'s, else 0."""
     if flag_seed is not None:
-        return flag_seed
+        return _seed(flag_seed, "--seed")
     if cfg_seed is not None:
-        return int(cfg_seed)
+        return _seed(cfg_seed, "config key 'seed'")
     env = os.environ.get("ADVMT_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    if env is None:
+        return 0
+    return _seed(int(env) if env.isdecimal() else env, "ADVMT_SEED")
 
 
 def _pid_running(pid: int) -> bool:
@@ -202,6 +211,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):  # a NaN tolerance would pass everything
+        raise AdvmtError(f"--tol must be finite and >= 0, got {args.tol}")
     corpus_set = load_corpus(args.data)
     topo = corpus_set.topology
     problems = []
@@ -297,6 +308,9 @@ def cmd_eval(args) -> int:
             raise AdvmtError("--checkpoint is required unless --baseline-only is given")
         model = model_mod.load_checkpoint(args.checkpoint)
         checkpoint_label = os.path.basename(args.checkpoint)
+        if args.history_frames not in (None, model.config.history_len):
+            raise AdvmtError(f"--history-frames {args.history_frames} does not match the "
+                             f"{model.config.history_len}-frame history of {args.checkpoint}")
 
     report = evaluate(
         model, corpus_set.test, horizons,
@@ -351,6 +365,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.frames < 1:
+        raise AdvmtError(f"--frames must be >= 1, got {args.frames}")
     topo = (SkeletonTopology.from_json(args.skeleton) if args.skeleton
             else SkeletonTopology.default_17())
     model = model_mod.load_checkpoint(args.checkpoint)
@@ -369,7 +385,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed, instances=args.instances)
+    results = run_suite(seed=_seed(args.seed, "--seed"), instances=args.instances)
     failed = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -341,6 +341,8 @@ class CorpusConfig:
             raise ConfigurationError("n_frames must be >= 1")
         if self.fps < 1:
             raise ConfigurationError("fps must be >= 1")
+        if not math.isfinite(self.amplitude_scale):
+            raise ConfigurationError(f"amplitude_scale must be finite, got {self.amplitude_scale}")
         self.styles = tuple(self.styles)
         if not self.styles:
             raise ConfigurationError("styles must be non-empty")

@@ -224,12 +224,9 @@ def _total_loss_end_to_end(rng):
 _LAYER_PARAMS = ((6,), (6,)) + ((6, 6), (6,)) * 4 + ((6,), (6,), (6, 7), (7,), (7, 6), (6,))
 
 
-def _stack(first, rows=None):
-    """The encoder-stack node on the stage ``tensor.<first>`` makes of the
-    leading inputs, then one layer of the last ``_LAYER_PARAMS``, 2 heads."""
-    n = len(_LAYER_PARAMS)
-    return lambda *ts: tensor.encoder_stack(tensor.feed_forward_block(tensor.attention_block(
-        getattr(tensor, first)(*ts[:-n]), *ts[-n:-6], 2, rows=rows), *ts[-6:]))
+def _layer(h, ts, rows=None):
+    """Stage ``h`` through one layer of the ``_LAYER_PARAMS`` tensors ``ts``, 2 heads."""
+    return tensor.feed_forward_block(tensor.attention_block(h, *ts[:-6], 2, rows=rows), *ts[-6:])
 
 
 _SUITE = (
@@ -250,11 +247,11 @@ _SUITE = (
                           _op(lambda x: x[..., [0, 2, 0], :], (2, 3, 3)))),
     ("concat", 1e-6, _probe(_op(lambda a, b: tensor.concat([a, b], -2), (2, 3, 2), (2, 1, 2)))),
     ("linear", 1e-6, _probe(_op("linear", (2, 3, 5), (5, 4), (4,)))),
-    ("encoder_stack", 1e-6, _probe(_op(_stack("window_in"), (2, 4, 5), (2, 1, 5), (5,), (5, 6),
-                                       (6,), (4, 6), *_LAYER_PARAMS))),
-    ("encoder_stack_rows", 1e-6, _probe(_op(_stack("source", rows=2), (2, 5, 6),
-                                            *_LAYER_PARAMS))),
-    ("frame_out", 1e-6, _probe(_op("frame_out", (2, 1, 6), (2, 2, 5), (5, 6), (6,), (6,)))),
+    ("encoder_stack", 1e-6, _probe(_op(lambda *ts: tensor.encoder_stack(tensor.frame_out(
+        ts[-4], _layer(tensor.window_in(*ts[:7]), ts[7:-4]), *ts[-3:])), (2, 4, 5), (2, 1, 5),
+        (5,), (5,), (5, 6), (6,), (4, 6), *_LAYER_PARAMS, (2, 1, 5), (6, 5), (5,), (5,)))),
+    ("encoder_stack_rows", 1e-6, _probe(_op(lambda x, *ts: tensor.encoder_stack(_layer(
+        tensor.source(x), ts, rows=2)), (2, 5, 6), *_LAYER_PARAMS))),
     ("backward_mlp", 1e-5, _probe(_op(_mlp, (2, 6), (6, 8), (8,), (8, 1)))),
     ("encoder_layer", 1e-4, _probe(_encoder_layer, coords=10)),
     ("predict_next", 1e-4, _probe(_rollout(1), coords=20)),

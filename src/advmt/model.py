@@ -9,13 +9,13 @@ over the model's own predictions.
 There is deliberately no causal mask: the encoder only ever sees a fully
 observed window, never future targets, so masking would not hide anything.
 
-Besides the root offset's small nodes, a forward pass is two graph nodes.
-``tensor.encoder_stack`` runs the input transform (``tensor.window_in``)
-and every layer: a layer's ``attention`` runs its attention half
-(``tensor.attention_block``), ``__call__`` its feed-forward half
-(``tensor.feed_forward_block``), and backward rebuilds them all from the
-window. ``tensor.frame_out`` is the output transform. ``LayerNorm`` and
-``Linear`` only hold parameters, in checkpoint order.
+Besides the root offset's small nodes, a forward pass is one graph node.
+``tensor.encoder_stack`` runs the input transform (``tensor.window_in``),
+every layer and the output transform (``tensor.frame_out``): a layer's
+``attention`` runs its attention half (``tensor.attention_block``),
+``__call__`` its feed-forward half (``tensor.feed_forward_block``), and
+backward rebuilds them all from the window. ``LayerNorm`` and ``Linear``
+only hold parameters, in checkpoint order.
 
 Because the head reads only the last token, the last layer computes keys
 and values from all T tokens but queries, attention output, residual and
@@ -250,13 +250,14 @@ class EncoderModel:
                 f"expected window (..., {cfg.history_len}, {cfg.input_dim}), got {x.shape}"
             )
         last_frame = x[..., -1:, :]
-        # root of the last frame, tiled over joints, plus the train mean
-        offset = last_frame @ self._root_tiling + self.pose_mean  # (..., 1, 3N)
-        h = tensor.window_in(x, offset, self._inverse_std, *self.embed.params(), self._pe)
+        root = last_frame @ self._root_tiling  # the last frame's root, tiled over joints
+        h = tensor.window_in(x, root, self.pose_mean, self._inverse_std, *self.embed.params(),
+                             self._pe)
         for layer in self.layers[:-1]:
             h = layer(h, collect=collect_attention)
-        h = tensor.encoder_stack(self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS))
-        return tensor.frame_out(last_frame, h, *self.head.params(), self.delta_scale)
+        h = self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS)
+        return tensor.encoder_stack(tensor.frame_out(last_frame, h, *self.head.params(),
+                                                     self.delta_scale))
 
 
 def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderModel:

@@ -432,16 +432,16 @@ def _next_stage(upstream: Stage, out: np.ndarray, params: tuple, at_input: Calla
     return Stage(out, upstream.parents + params, backward)
 
 
-def window_in(x, offset, inv_std, W, b, pe) -> Stage:
-    """The encoder's input transform ``((x - offset) * inv_std) @ W + b + pe``
-    on a (..., T, 3N) window as a first stage; the oracle is ``sub``, ``mul``,
-    ``linear``, ``add``."""
-    parents = tuple(as_tensor(p) for p in (x, offset, inv_std, W, b, pe))
-    _check_matmul(parents[0].shape, parents[3].shape, "window_in")
-    x_d, offset_d, inv_std_d, W_d, b_d, pe_d = arrays = tuple(p.data for p in parents)
+def window_in(x, root, mean, inv_std, W, b, pe) -> Stage:
+    """The encoder's input transform ``((x - (root + mean)) * inv_std) @ W + b + pe``
+    on a (..., T, 3N) window and its last frame's (..., 1, 3N) tiled root as a
+    first stage; the oracle is ``add``, ``sub``, ``mul``, ``linear``, ``add``."""
+    parents = tuple(as_tensor(p) for p in (x, root, mean, inv_std, W, b, pe))
+    _check_matmul(parents[0].shape, parents[4].shape, "window_in")
+    x_d, root_d, mean_d, inv_std_d, W_d, b_d, pe_d = arrays = tuple(p.data for p in parents)
 
-    def forward():  # x - offset, that times inv_std, and the output
-        s = x_d - offset_d
+    def forward():  # x - (root + mean), that times inv_std, and the output
+        s = x_d - (root_d + mean_d)
         z = s * inv_std_d
         out = _affine(z, W_d, b_d)
         out += pe_d
@@ -452,7 +452,9 @@ def window_in(x, offset, inv_std, W, b, pe) -> Stage:
         g, more = downstream(out)
         gz, gW, gb = _affine_grads(z, W_d, b_d, g)
         gs = _unbroadcast(gz * inv_std_d, s.shape)
-        grads = (gs, -gs, gz * s, gW, gb, g)
+        # the offset root + mean's gradient, which the oracle's ``add`` passes on to both
+        goffset = _unbroadcast(-gs, np.broadcast_shapes(root_d.shape, mean_d.shape))
+        grads = (gs, goffset, goffset, gz * s, gW, gb, g)
         return tuple(_unbroadcast(gr, a.shape) for a, gr in zip(arrays, grads)) + more
 
     return Stage(forward()[2], parents, backward)
@@ -590,10 +592,35 @@ def feed_forward_block(attended: Stage, gain, bias, w1, b1, w2, b2) -> Stage:
     return _next_stage(attended, output(a_d, r), params, at_input)
 
 
+def frame_out(last_frame, h: Stage, W, b, scale) -> Stage:
+    """The encoder's output transform ``(last_frame + (h[..., -1:, :] @ W + b)
+    * scale)[..., 0, :]`` with a (..., 1, 3N) last frame, on stage ``h``'s
+    (..., T, D) output, as the last stage: backward rebuilds the head's output.
+    The oracle is ``take``, ``linear``, ``mul``, ``add``, ``take``."""
+    params = tuple(as_tensor(p) for p in (last_frame, W, b, scale))
+    _check_matmul(h.out.shape, params[1].shape, "frame_out")
+    last_d, W_d, b_d, scale_d = (p.data for p in params)
+
+    def forward(h_d):  # the head's output at the last token, (..., 1, 3N), and the stage's
+        y = _affine(h_d[..., -1:, :], W_d, b_d)
+        return y, (last_d + y * scale_d)[..., 0, :]
+
+    def at_input(h_d, downstream):
+        y, out = forward(h_d)
+        g, more = downstream(out)
+        gout = g[..., None, :] + 0.0  # the last ``take``'s scatter into zeros: -0.0 -> +0.0
+        gy = _unbroadcast(gout * scale_d, y.shape)
+        gh, gW, gb = _affine_grads(h_d[..., -1:, :], W_d, b_d, gy)
+        grads = (_unbroadcast(gout, last_d.shape), gW, gb, _unbroadcast(gout * y, scale_d.shape))
+        return _scattered(gh, h_d.shape, 1), grads + more
+
+    return _next_stage(h, forward(h.out)[1], params, at_input)
+
+
 def encoder_stack(stage: Stage) -> Tensor:
     """The chain of stages that ends in ``stage`` (``window_in`` or ``source``,
-    then ``attention_block`` and ``feed_forward_block`` per encoder layer) as
-    one node that keeps its parents and each norm's (..., T, 1) std. Backward
+    ``attention_block`` and ``feed_forward_block`` per layer, ``frame_out``)
+    as one node that keeps its parents and each norm's (..., T, 1) std. Backward
     rebuilds the chain from its first stage, keeps every stage's state alive
     on the way down and runs their vjps back up."""
     parents, backward = stage.parents, stage.backward
@@ -602,31 +629,6 @@ def encoder_stack(stage: Stage) -> Tensor:
         return tuple(zip(parents, backward(lambda out: (g, ()))))
 
     return Tensor._result(stage.out, parents, vjp)
-
-
-def frame_out(last_frame, h, W, b, scale) -> Tensor:
-    """``(last_frame + (h[..., -1:, :] @ W + b) * scale)[..., 0, :]`` with a
-    (..., 1, 3N) last frame, the encoder's output transform, as one node built
-    like ``window_in`` (backward rebuilds the head's output) with the bytes of
-    the ``take``, ``linear``, ``mul``, ``add``, ``take`` chain."""
-    parents = tuple(as_tensor(p) for p in (last_frame, h, W, b, scale))
-    _check_matmul(parents[1].shape, parents[2].shape, "frame_out")
-    last_d, h_d, W_d, b_d, scale_d = arrays = tuple(p.data for p in parents)
-
-    def head():  # the head's output at the last token, (..., 1, 3N)
-        return _affine(h_d[..., -1:, :], W_d, b_d)
-
-    out = last_d + head() * scale_d
-
-    def vjp(g):
-        gout = g[..., None, :] + 0.0  # the last ``take``'s scatter into zeros: -0.0 -> +0.0
-        y = head()
-        gy = _unbroadcast(gout * scale_d, y.shape)
-        gh, gW, gb = _affine_grads(h_d[..., -1:, :], W_d, b_d, gy)
-        grads = (gout, _scattered(gh, h_d.shape, 1), gW, gb, gout * y)
-        return tuple((p, _unbroadcast(gr, a.shape)) for p, a, gr in zip(parents, arrays, grads))
-
-    return Tensor._result(out[..., 0, :], parents, vjp)
 
 
 # -- reductions and pointwise maths -------------------------------------------

@@ -60,8 +60,9 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         for name in ("lr_encoder", "lr_disc"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):  # a NaN rate trains to NaN parameters
+                raise ConfigurationError(f"{name} must be finite and positive, got {value}")
         if self.disc_steps_per_gen_step < 0:
             raise ConfigurationError("disc_steps_per_gen_step must be >= 0")
         if not self.grad_clip_norm > 0:

@@ -18,6 +18,19 @@ def test_benchmark_tracer_finds_every_hook():
     assert result.returncode == 0, result.stderr
 
 
+def test_benchmark_tests_pass():
+    """The benchmark's own tests, among them the attribution of a real train
+    step, so that a program change which breaks them fails here. In a
+    subprocess, because ``tracer.instrument`` patches ``advmt`` for the rest
+    of its process."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/"],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+
+
 def test_each_layer_call_enters_attention_once(monkeypatch):
     """The tracer times ``EncoderLayer.attention`` as the attention half and
     the rest of ``EncoderLayer.__call__`` as the feed-forward half, so one

@@ -96,6 +96,21 @@ class TestGenerate:
             "train_seed_base": 9, "test_seed_base": 109,
         }
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_amplitude_scale_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "c"
+        assert run("generate", "--out", str(out), "--amplitude-scale", value) == 2
+        assert f"amplitude_scale must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_validate_refuses_a_tolerance_that_checks_nothing(self, corpus_dir, capsys, tol):
+        """A NaN tolerance passed every corpus and a negative one failed every sequence."""
+        assert run("validate", "--data", str(corpus_dir / "manifest.json"), "--tol", tol) == 2
+        captured = capsys.readouterr()
+        assert f"--tol must be finite and >= 0, got {float(tol)}" in captured.err
+        assert "FAIL" not in captured.out and "pass" not in captured.out
+
     def test_lock_blocks_concurrent_use(self, tmp_path):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps(GEN_CFG))
@@ -258,6 +273,19 @@ class TestTrain:
                    "--lr-encoder", "1e18", "--epochs", "2", "--grad-clip", "1e30")
         assert code == 3
 
+    @pytest.mark.parametrize("flag,value", [("--lr-encoder", "nan"), ("--lr-encoder", "inf"),
+                                            ("--lr-disc", "nan")])
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, corpus_dir, capsys, flag, value):
+        """Such a rate trained to a NaN checkpoint that ``predict`` then refused."""
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(TRAIN_CFG))
+        out = tmp_path / "x"
+        assert run("train", "--config", str(cfg), "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(out), flag, value) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite and positive, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, corpus_dir, monkeypatch):
         monkeypatch.setenv("ADVMT_SEED", "42")
         cfg = tmp_path / "train.json"
@@ -269,7 +297,57 @@ class TestTrain:
         assert manifest["seed"] == 42
 
 
+class TestSeed:
+    """A seed is a non-negative integer from the flag, the config or
+    ``ADVMT_SEED``; anything else exits 2 naming its source, before the run
+    directory exists."""
+
+    def refused(self, tmp_path, corpus_dir, capsys, command, flags=(), config=None):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config or {}))
+        out = tmp_path / "x"
+        data = ("--data", str(corpus_dir / "manifest.json")) if command == "train" else ()
+        assert run(command, "--config", str(cfg), *data, "--out", str(out), *flags) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("seed", [2.7, True, -3, "5"])
+    def test_config_seed(self, tmp_path, corpus_dir, capsys, command, seed):
+        """2.7 used to run as seed 2 and true as seed 1."""
+        config = {**(GEN_CFG if command == "generate" else TRAIN_CFG), "seed": seed}
+        err = self.refused(tmp_path, corpus_dir, capsys, command, config=config)
+        assert f"config key 'seed': a seed must be a non-negative integer, got {seed!r}" in err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_negative_flag_seed(self, tmp_path, corpus_dir, capsys, command):
+        err = self.refused(tmp_path, corpus_dir, capsys, command, ("--seed", "-3"))
+        assert "--seed: a seed must be a non-negative integer, got -3" in err
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("env,shown", [("-4", "'-4'"), ("abc", "'abc'"), ("2.5", "'2.5'")])
+    def test_env_seed(self, tmp_path, corpus_dir, capsys, monkeypatch, command, env, shown):
+        monkeypatch.setenv("ADVMT_SEED", env)
+        err = self.refused(tmp_path, corpus_dir, capsys, command)
+        assert f"ADVMT_SEED: a seed must be a non-negative integer, got {shown}" in err
+
+    def test_gradcheck_negative_seed(self, capsys):
+        assert run("gradcheck", "--seed", "-1", "--instances", "1") == 2
+        assert "--seed: a seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 class TestEval:
+    def test_history_frames_must_match_the_checkpoint(self, tmp_path, corpus_dir, trained_dir,
+                                                      capsys):
+        ckpt = trained_dir / "encoder.ckpt"
+        assert run("eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(tmp_path / "x"), "--history-frames", "40") == 2
+        assert (f"--history-frames 40 does not match the 50-frame history of {ckpt}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+        assert run("eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(tmp_path / "y"), "--history-frames", "50") == 0
+
     def test_report_columns_and_roundtrip(self, tmp_path, corpus_dir, trained_dir):
         out = tmp_path / "eval"
         assert run("eval", "--checkpoint", str(trained_dir / "encoder.ckpt"),
@@ -445,6 +523,16 @@ class TestPredict:
 
         seq = load_csv(out, SkeletonTopology.default_17())
         assert seq.n_frames == 10
+
+    @pytest.mark.parametrize("frames", ["0", "-2"])
+    def test_no_frames_exits_2_naming_the_flag(self, tmp_path, corpus_dir, trained_dir, capsys,
+                                               frames):
+        out = tmp_path / "p.csv"
+        assert run("predict", "--checkpoint", str(trained_dir / "encoder.ckpt"), "--input",
+                   str(corpus_dir / "test" / "walk_0000.csv"), "--frames", frames,
+                   "--out", str(out)) == 2
+        assert f"--frames must be >= 1, got {frames}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_short_history_exits_2(self, tmp_path, trained_dir):
         from advmt.data import save_csv

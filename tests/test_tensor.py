@@ -199,9 +199,9 @@ def attention_params(rng, d):
                                       0.1 * rng.standard_normal(d))]
 
 
-def window_in_chain(x, offset, inv_std, W, b, pe):
-    """``window_in`` as the ``sub``, ``mul``, ``linear``, ``add`` nodes it replaces."""
-    return linear((x - offset) * inv_std, W, b) + pe
+def window_in_chain(x, root, mean, inv_std, W, b, pe):
+    """``window_in`` as the ``add``, ``sub``, ``mul``, ``linear``, ``add`` nodes it replaces."""
+    return linear((x - (root + mean)) * inv_std, W, b) + pe
 
 
 def frame_out_chain(last_frame, h, W, b, scale):
@@ -209,43 +209,66 @@ def frame_out_chain(last_frame, h, W, b, scale):
     return (last_frame + linear(h[..., -1:, :], W, b) * scale)[..., 0, :]
 
 
+def stack_layers(arrays):
+    """The layers' parameters in ``stack_node``'s arrays, 16 each."""
+    return [arrays[i:i + 16] for i in range(7, len(arrays) - 4, 16)]
+
+
 def stack_node(*arrays, heads, rows=None, collect=None):
-    """``window_in`` on ``arrays``' first six, then a layer's two stages per
-    16 more (``rows`` on the last), as one encoder-stack node."""
-    h = window_in(*arrays[:6])
-    layers = [arrays[i:i + 16] for i in range(6, len(arrays), 16)]
+    """``window_in`` on ``arrays``' first seven, a layer's two stages per 16
+    more (``rows`` on the last) and ``frame_out`` on the last four, as one
+    encoder-stack node: an encoder forward pass."""
+    h, layers = window_in(*arrays[:7]), stack_layers(arrays)
     for i, params in enumerate(layers):
         attended = attention_block(h, *params[:10], heads,
                                    rows=rows if i == len(layers) - 1 else None, collect=collect)
         h = feed_forward_block(attended, *params[10:])
-    return encoder_stack(h)
+    return encoder_stack(frame_out(arrays[-4], h, *arrays[-3:]))
 
 
 def stack_chain(*arrays, heads, rows=None):
-    """``stack_node`` as the window-in chain and a ``layer_chain`` per layer."""
-    h = window_in_chain(*arrays[:6])
-    layers = [arrays[i:i + 16] for i in range(6, len(arrays), 16)]
+    """``stack_node`` as the window-in chain, a ``layer_chain`` per layer and
+    the frame-out chain."""
+    h, layers = window_in_chain(*arrays[:7]), stack_layers(arrays)
     for i, params in enumerate(layers):
         h = layer_chain(h, *params, heads=heads, rows=rows if i == len(layers) - 1 else None)
-    return h
+    return frame_out_chain(arrays[-4], h, *arrays[-3:])
 
 
 def window_in_arrays(rng, lead):
-    """A (..., 50, 51) window whose last root has a -0.0 coordinate, its offset,
-    and the inverse std, embedding and positional code of the default encoder."""
+    """A (..., 50, 51) window whose last root has a -0.0 coordinate, that
+    root tiled over the joints, a pose mean, and the inverse std, embedding
+    and positional code of the default encoder."""
     x = rng.standard_normal(lead + (50, 51))
-    offset = np.tile(x[..., -1:, :3], 17) + rng.standard_normal(51)
-    x[..., -1, 0] = offset[..., 0, 0] = -0.0  # a -0.0 root coordinate
-    return [x, offset, rng.uniform(0.5, 2.0, 51), rng.standard_normal((51, 64)) / 8,
-            0.1 * rng.standard_normal(64), rng.standard_normal((50, 64))]
+    root = np.tile(x[..., -1:, :3], 17)
+    x[..., -1, 0] = root[..., 0, 0] = -0.0  # a -0.0 root coordinate
+    return [x, root, rng.standard_normal(51), rng.uniform(0.5, 2.0, 51),
+            rng.standard_normal((51, 64)) / 8, 0.1 * rng.standard_normal(64),
+            rng.standard_normal((50, 64))]
+
+
+def frame_out_arrays(rng, lead):
+    """A (..., 1, 51) last frame with a -0.0 root coordinate, and the head
+    and delta scale of the default encoder."""
+    last_frame = rng.standard_normal(lead + (1, 51))
+    last_frame[..., 0, 0] = -0.0
+    return [last_frame, rng.standard_normal((64, 51)) / 8, 0.1 * rng.standard_normal(51),
+            rng.uniform(0.5, 2.0, 51)]
+
+
+def stack_arrays(rng, lead, layers):
+    """``stack_node``'s arrays for the default encoder with ``layers`` layers."""
+    return (window_in_arrays(rng, lead) + [a for _ in range(layers)
+                                           for a in layer_params(rng, 64, 128)]
+            + frame_out_arrays(rng, lead))
 
 
 def forward_window_chain(enc, x):
     """``EncoderModel.forward_window`` with its input and output transforms
     and every encoder layer as chains."""
     last_frame = x[..., -1:, :]
-    offset = last_frame @ enc._root_tiling + enc.pose_mean
-    h = window_in_chain(x, offset, enc._inverse_std, *enc.embed.params(), enc._pe)
+    h = window_in_chain(x, last_frame @ enc._root_tiling, enc.pose_mean, enc._inverse_std,
+                        *enc.embed.params(), enc._pe)
     for i, layer in enumerate(enc.layers):
         rows = HEAD_ROWS if i == len(enc.layers) - 1 else None
         h = layer_chain(h, *layer.params(), heads=layer.num_heads, rows=rows)
@@ -433,22 +456,25 @@ class TestFusedOps:
         nodes 59, taking the output frame after the head's add, not
         before, 58, and the window-in and frame-out nodes in place of the
         input and output chains, 51, one node per encoder layer in place
-        of its attention and feed-forward nodes, 49, and one encoder-stack
-        node in place of the window-in node and the layer nodes, 47."""
+        of its attention and feed-forward nodes, 49, one encoder-stack
+        node in place of the window-in node and the layer nodes, 47, and
+        now, with the head and the pose mean's ``add`` inside that node, 45."""
         cfg = EncoderConfig(input_dim=6, num_layers=2, num_heads=2, model_dim=16, ff_dim=24,
                             history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
         out = enc.forward_window(Tensor(np.ones((8, 6)), requires_grad=True))
-        assert len(graph_nodes(out)) == 47
+        assert len(graph_nodes(out)) == 45
 
     def test_rollout_frame_census(self):
-        """One more rollout frame adds one encoder-stack node (until it
-        replaced them, the window-in node and the 4 layer nodes of a 4-layer
-        encoder, and before those 8 block nodes, an attention and a
-        feed-forward node per layer), the frame-out node, and 6 small ones:
-        the ``take`` of the last frame, the root tiling's ``matmul``, the
-        ``add`` of the mean, the ``reshape`` of the predicted frame, and the
-        window slide's ``take`` and ``concat``."""
+        """One more rollout frame adds one encoder-stack node, which holds the
+        input transform, the 4 layers of a 4-layer encoder and the head, and
+        5 small ones: the ``take`` of the last frame, the root tiling's
+        ``matmul``, the ``reshape`` of the predicted frame, and the window
+        slide's ``take`` and ``concat``. That is 6 op nodes; before the head
+        and the pose mean's ``add`` joined the stack there were 8 (a
+        frame-out node and the ``add`` besides), before the stack node 12
+        (the window-in node and 4 layer nodes in its place), and before the
+        layer nodes 16 (an attention and a feed-forward node per layer)."""
         cfg = EncoderConfig(input_dim=6, num_heads=2, model_dim=16, ff_dim=24, history_len=8)
         enc = EncoderModel(cfg, np.random.default_rng(0))
 
@@ -460,8 +486,7 @@ class TestFusedOps:
         added = census(3)
         added.subtract(census(2))
         assert {op: n for op, n in added.items() if n} == {
-            "encoder_stack": 1, "frame_out": 1,
-            "take": 2, "matmul": 1, "add": 1, "reshape": 1, "concat": 1}
+            "encoder_stack": 1, "take": 2, "matmul": 1, "reshape": 1, "concat": 1}
 
     @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
     def test_window_in_matches_chain(self, rng, lead):
@@ -474,13 +499,13 @@ class TestFusedOps:
     @pytest.mark.parametrize("rows", [None, HEAD_ROWS])
     @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
     def test_encoder_stack_matches_chain(self, rng, lead, rows):
-        """The default encoder's stack (window-in and 4 layers, ``rows`` on the
-        last) against the window-in chain and 4 layer chains: values and every
-        gradient, with a -0.0 root coordinate and a -0.0 in the cotangent."""
-        arrays = window_in_arrays(rng, lead) + [a for _ in range(4)
-                                                for a in layer_params(rng, 64, 128)]
-        c = rng.standard_normal(lead + (50 if rows is None else rows, 64))
-        c[..., -1, 0] = -0.0
+        """The default encoder's stack (window-in, 4 layers with ``rows`` on
+        the last, and the head) against the window-in chain, 4 layer chains
+        and the frame-out chain: values and every gradient, with -0.0 root
+        coordinates and a -0.0 in the cotangent."""
+        arrays = stack_arrays(rng, lead, 4)
+        c = rng.standard_normal(lead + (51,))
+        c[..., 0] = -0.0
         assert_bitwise(values_and_grads(lambda *t: stack_node(*t, heads=4, rows=rows) * c,
                                         *arrays),
                        values_and_grads(lambda *t: stack_chain(*t, heads=4, rows=rows) * c,
@@ -488,38 +513,32 @@ class TestFusedOps:
 
     def test_encoder_stack_collects_every_layer(self, rng):
         """(..., H, T, T) probabilities per layer, (..., H, 2, T) for the pruned last."""
-        arrays = window_in_arrays(rng, (2,)) + [a for _ in range(3)
-                                                for a in layer_params(rng, 64, 128)]
         probs = []
-        out = stack_node(*[Tensor(a, requires_grad=True) for a in arrays], heads=4,
-                         rows=HEAD_ROWS, collect=probs)
-        assert out.shape == (2, HEAD_ROWS, 64)
+        out = stack_node(*[Tensor(a, requires_grad=True) for a in stack_arrays(rng, (2,), 3)],
+                         heads=4, rows=HEAD_ROWS, collect=probs)
+        assert out.shape == (2, 51)
         assert [p.shape for p in probs] == [(2, 4, 50, 50)] * 2 + [(2, 4, HEAD_ROWS, 50)]
         assert all(np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12 for p in probs)
 
     @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
     def test_frame_out_matches_chain(self, rng, lead):
-        last_frame = rng.standard_normal(lead + (1, 51))
-        last_frame[..., 0, 0] = -0.0  # a -0.0 root coordinate
-        arrays = [last_frame, rng.standard_normal(lead + (HEAD_ROWS, 64)),  # the pruned rows
-                  rng.standard_normal((64, 51)) / 8, 0.1 * rng.standard_normal(51),
-                  rng.uniform(0.5, 2.0, 51)]
+        """The frame-out stage alone, on the pruned rows, closed into a node."""
+        last_frame, *head = frame_out_arrays(rng, lead)  # a -0.0 root coordinate
+        arrays = [last_frame, rng.standard_normal(lead + (HEAD_ROWS, 64)), *head]
         c = rng.standard_normal(lead + (51,))
         c[..., 0] = -0.0  # the last ``take`` turns a -0.0 cotangent into +0.0
-        assert_bitwise(values_and_grads(lambda *t: frame_out(*t) * c, *arrays),
-                       values_and_grads(lambda *t: frame_out_chain(*t) * c, *arrays))
+        assert_bitwise(
+            values_and_grads(lambda last, h, *t: encoder_stack(frame_out(last, source(h), *t)) * c,
+                             *arrays),
+            values_and_grads(lambda *t: frame_out_chain(*t) * c, *arrays))
 
     def test_window_nodes_keep_only_their_parents(self, rng):
-        x, offset = Tensor(rng.standard_normal((8, 50, 51)), requires_grad=True), \
-            Tensor(rng.standard_normal((8, 1, 51)), requires_grad=True)
-        params = [Tensor(a, requires_grad=True) for a in (
-            np.ones(51), rng.standard_normal((51, 64)), np.zeros(64), np.ones((50, 64)))]
-        h = encoder_stack(window_in(x, offset, *params))
-        assert held_beyond_parents(h, (x, offset, *params)) == []
-        head = [Tensor(a, requires_grad=True) for a in (
-            rng.standard_normal((64, 51)), np.zeros(51), np.ones(51))]
-        out = frame_out(offset, h, *head)
-        assert held_beyond_parents(out, (offset, h, *head)) == []
+        leaves = [Tensor(a, requires_grad=True) for a in window_in_arrays(rng, (8,))]
+        h = encoder_stack(window_in(*leaves))
+        assert held_beyond_parents(h, leaves) == []
+        head = [Tensor(a, requires_grad=True) for a in frame_out_arrays(rng, (8,))]
+        out = encoder_stack(frame_out(head[0], source(h), *head[1:]))
+        assert held_beyond_parents(out, (h, *head)) == []
 
     def test_rollout_matches_chain(self, monkeypatch):
         """Three frames of the default encoder at batch 8, against the same
@@ -687,19 +706,21 @@ class TestAttentionRecompute:
         keep only their parents (no standardized window, embedding product or
         head output), 26,827,064 with one node per encoder layer that
         rebuilds its feed-forward input in place of keeping the attention
-        half's output, and now, with one encoder-stack node per frame that
+        half's output, 6,347,064 with one encoder-stack node per frame that
         rebuilds the window-in output and every layer's in place of keeping
-        them, 6,347,064."""
+        them, and now, with the head and the pose mean's ``add`` inside that
+        node (no last-layer output or offset per frame), 6,060,664."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
-        assert graph_held_bytes(out) == 6_347_064
+        assert graph_held_bytes(out) == 6_060_664
 
     def test_rollout_graph_peak_memory(self):
         """Pinned so transient memory cannot grow unnoticed where held bytes do
         not show it: the traced peak of a batch-8, 25-frame rollout's forward
-        and backward was 31,639,044 bytes with one node per encoder layer and
-        is 18,859,966 with one encoder-stack node per frame, whose backward
-        keeps every layer's rebuilt state alive at once."""
+        and backward was 31,639,044 bytes with one node per encoder layer,
+        18,859,966 with one encoder-stack node per frame, whose backward
+        keeps every layer's rebuilt state alive at once, and is 18,677,083
+        with the head and the pose mean's ``add`` inside that node."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         window = Tensor(np.ones((8, 50, 51)), requires_grad=True)
         tracemalloc.start()
@@ -728,15 +749,24 @@ class TestAttentionRecompute:
 
 class TestStackRecompute:
     """The encoder-stack node keeps only each norm's std and rebuilds the
-    window-in output and every layer's from the arrays its stages bound."""
+    window-in output, every layer's and the head's from the arrays its
+    stages bound."""
 
     @pytest.mark.parametrize("rows", [None, HEAD_ROWS])
     def test_node_keeps_only_stds(self, rng, rows):
-        leaves = [Tensor(a, requires_grad=True) for a in window_in_arrays(rng, (8,))
-                  + [a for _ in range(4) for a in layer_params(rng, 64, 128)]]
+        leaves = [Tensor(a, requires_grad=True) for a in stack_arrays(rng, (8,), 4)]
         out = stack_node(*leaves, heads=4, rows=rows)
         held = sorted(a.shape for a in held_beyond_parents(out, leaves))
         assert held == sorted([(8, 50, 1)] * 7 + [(8, 50 if rows is None else rows, 1)])
+
+    def test_forward_pass_keeps_only_stds(self):
+        """A default forward pass's node keeps its 4 layers' 8 norm stds and
+        nothing else: (8, 50, 1) each, but (8, 2, 1) for the feed-forward
+        norm of the pruned last layer."""
+        enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
+        out = enc.forward_window(Tensor(np.ones((8, 50, 51)), requires_grad=True))
+        held = sorted(a.shape for a in held_beyond_parents(out, out._parents))
+        assert held == sorted([(8, 50, 1)] * 7 + [(8, HEAD_ROWS, 1)])
 
     # the window, the embedding weight, the second layer's wq and the first's w1
     @pytest.mark.parametrize("rebound,index", [("x", 0), ("W", 3), ("wq", 24), ("w1", 18)])
@@ -745,8 +775,13 @@ class TestStackRecompute:
                   rng.uniform(0.5, 2.0, 9), rng.standard_normal((9, 8)),
                   rng.standard_normal(8), rng.standard_normal((6, 8))]
         arrays += layer_params(rng, 8, 12) + layer_params(rng, 8, 12)
-        c = rng.standard_normal((2, 2, 8))
-        forward = lambda *leaves: stack_node(*leaves, heads=2, rows=2) * c
+        arrays += [rng.standard_normal((2, 1, 9)), rng.standard_normal((8, 9)),
+                   rng.standard_normal(9), rng.uniform(0.5, 2.0, 9)]
+        mean, c = rng.standard_normal(9), rng.standard_normal((2, 9))
+
+        def forward(x, root, *rest):  # the pose mean is a constant, as in the encoder
+            return stack_node(x, root, mean, *rest, heads=2, rows=2) * c
+
         assert_bitwise(grads_with_rebinding(forward, arrays, index),
                        grads_with_rebinding(forward, arrays, None))
 
