@@ -9,6 +9,7 @@ computation and a lock file so concurrent runs cannot share it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -25,6 +26,7 @@ from . import discriminator as disc_mod
 from . import model as model_mod
 from .data import (
     CorpusConfig,
+    csv_cell,
     generate_corpus,
     load_corpus,
     load_csv,
@@ -163,8 +165,9 @@ class RunDirectory:
             fh.write("\n")
 
 
-def _flags(args, mapping) -> dict:
-    values = {key: getattr(args, flag) for flag, key in mapping.items()}
+def _flags(args, cls) -> dict:
+    """The given flags that set fields of ``cls``, by name: each flag's ``dest`` is its field."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
     return {key: value for key, value in values.items() if value is not None}
 
 
@@ -173,23 +176,20 @@ def _flags(args, mapping) -> dict:
 
 def cmd_generate(args) -> int:
     raw = read_json_object(args.config) if args.config else {}
-    topo_path = raw.pop("topology", None)
+    where = f"{args.config}: " if args.config else ""
+    topo_path = raw.pop("topology", None)  # a key of the file, not a CorpusConfig field
+    if not isinstance(topo_path, (str, type(None))):
+        raise AdvmtError(f"{where}corpus config: 'topology' must be a string, got {topo_path!r}")
     seed = _resolve_seed(args.seed, raw.pop("seed", None))
-    raw.update(_flags(args, {
-        "n_train": "n_train", "n_test": "n_test", "frames": "n_frames", "fps": "fps",
-        "amplitude_scale": "amplitude_scale",
-    }))
-    if args.styles is not None:
-        raw["styles"] = tuple(args.styles.split(","))
-    cfg = build_config(CorpusConfig, raw, "corpus config")
+    cfg = build_config(CorpusConfig, raw, f"{where}corpus config",
+                       overrides=_flags(args, CorpusConfig))
     if seed:
         cfg.train_seed_base += seed
         cfg.test_seed_base += seed
     topo = SkeletonTopology.from_json(topo_path) if topo_path else SkeletonTopology.default_17()
 
     with RunDirectory(args.out) as run:
-        run.write_manifest("generate", {**cfg.__dict__, "styles": list(cfg.styles)},
-                           seed, args.config)
+        run.write_manifest("generate", dataclasses.asdict(cfg), seed, args.config)
         try:
             corpus_set = generate_corpus(cfg, topo)
             manifest_path = write_corpus(corpus_set, args.out)
@@ -241,33 +241,23 @@ def cmd_validate(args) -> int:
 
 def cmd_train(args) -> int:
     raw = read_json_object(args.config) if args.config else {}
-    enc_raw = raw.pop("encoder", None)
-    disc_raw = raw.pop("discriminator", None)
-    lambdas = _flags(args, {"lambda_bone": "lambda_bone", "lambda_adv": "lambda_adv"})
-    raw["weights"] = build_config(LossWeights, raw.pop("weights", {}), "weights", overrides=lambdas)
+    where = f"{args.config}: " if args.config else ""
+    enc_raw, disc_raw = raw.pop("encoder", {}), raw.pop("discriminator", {})
+    raw["weights"] = build_config(LossWeights, raw.pop("weights", {}), f"{where}weights",
+                                  overrides=_flags(args, LossWeights))
     raw["seed"] = _resolve_seed(args.seed, raw.pop("seed", None))
-    raw.update(_flags(args, {
-        "epochs": "epochs", "batch_size": "batch_size", "lr_encoder": "lr_encoder",
-        "lr_disc": "lr_disc", "disc_steps": "disc_steps_per_gen_step",
-        "grad_clip": "grad_clip_norm", "history_frames": "history_frames",
-        "predict_frames": "predict_frames", "stride": "window_stride",
-        "checkpoint_every": "checkpoint_every",
-    }))
-    cfg = TrainConfig.from_dict(raw)
+    cfg = build_config(TrainConfig, raw, f"{where}train config",
+                       overrides=_flags(args, TrainConfig))
 
     corpus_set = load_corpus(args.data)
     flat = 3 * corpus_set.topology.joint_count
-    enc_cfg = None
-    if enc_raw is not None:
-        enc_cfg = build_config(model_mod.EncoderConfig, enc_raw, "encoder config",
-                               defaults={"input_dim": flat, "history_len": cfg.history_frames})
-    disc_cfg = None
-    if disc_raw is not None:
-        disc_cfg = build_config(disc_mod.DiscriminatorConfig, disc_raw, "discriminator config",
-                                defaults={"input_dim": flat})
+    enc_cfg = build_config(model_mod.EncoderConfig, enc_raw, f"{where}encoder config",
+                           defaults={"input_dim": flat, "history_len": cfg.history_frames})
+    disc_cfg = build_config(disc_mod.DiscriminatorConfig, disc_raw,
+                            f"{where}discriminator config", defaults={"input_dim": flat})
 
     with RunDirectory(args.out) as run:
-        run.write_manifest("train", cfg.to_dict(), cfg.seed, args.config)
+        run.write_manifest("train", dataclasses.asdict(cfg), cfg.seed, args.config)
         try:
             _, _, log = fit(corpus_set, cfg, out_dir=args.out,
                             encoder_config=enc_cfg, disc_config=disc_cfg)
@@ -292,6 +282,13 @@ def _sequence_of(frames, fps, action):
 def cmd_eval(args) -> int:
     if args.render < 0:
         raise AdvmtError(f"--render must be >= 0, got {args.render}")
+    csv_cell(args.label, "--label")  # labels are cells of ablation.csv
+    variants = []  # (label, encoder) per --ablate, all read before any output
+    for item in args.ablate or ():
+        label, _, ckpt = item.partition("=")
+        if not ckpt:
+            raise AdvmtError(f"--ablate expects label=checkpoint, got {item!r}")
+        variants.append((csv_cell(label, "--ablate label"), model_mod.load_checkpoint(ckpt)))
     corpus_set = load_corpus(args.data)
     if corpus_set.test is None:
         raise AdvmtError(f"{args.data}: corpus has no test split to evaluate")
@@ -332,15 +329,8 @@ def cmd_eval(args) -> int:
             if model is not None:
                 label = args.label or checkpoint_label or "model"
                 runs.append((label, report))
-            for item in args.ablate:
-                label, _, ckpt = item.partition("=")
-                if not ckpt:
-                    raise AdvmtError(f"--ablate expects label=checkpoint, got {item!r}")
-                variant = model_mod.load_checkpoint(ckpt)
-                runs.append(
-                    (label, evaluate(variant, corpus_set.test, horizons,
-                                     stride=args.stride))
-                )
+            runs += [(label, evaluate(variant, corpus_set.test, horizons, stride=args.stride))
+                     for label, variant in variants]
             table = ablation_report(runs)
             table.to_csv(os.path.join(args.out, "ablation.csv"))
             print(table.to_text())
@@ -416,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--n-train", dest="n_train", type=int)
     p.add_argument("--n-test", dest="n_test", type=int)
-    p.add_argument("--frames", type=int)
+    p.add_argument("--frames", dest="n_frames", type=int)
     p.add_argument("--fps", type=int)
-    p.add_argument("--styles", help="comma-separated style names")
+    p.add_argument("--styles", type=lambda s: s.split(","), help="comma-separated style names")
     p.add_argument("--amplitude-scale", dest="amplitude_scale", type=float)
     p.set_defaults(handler=cmd_generate)
 
@@ -438,11 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-disc", dest="lr_disc", type=float)
     p.add_argument("--lambda-bone", dest="lambda_bone", type=float)
     p.add_argument("--lambda-adv", dest="lambda_adv", type=float)
-    p.add_argument("--disc-steps", dest="disc_steps", type=int)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
+    p.add_argument("--disc-steps", dest="disc_steps_per_gen_step", type=int)
+    p.add_argument("--grad-clip", dest="grad_clip_norm", type=float)
     p.add_argument("--history-frames", dest="history_frames", type=int)
     p.add_argument("--predict-frames", dest="predict_frames", type=int)
-    p.add_argument("--stride", type=int)
+    p.add_argument("--stride", dest="window_stride", type=int)
     p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int)
     p.set_defaults(handler=cmd_train)
 

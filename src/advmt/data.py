@@ -407,6 +407,14 @@ def write_corpus(corpus_set: CorpusSet, out_dir) -> str:
     return manifest_path
 
 
+def csv_cell(text, where: str):
+    """``text`` if it is None (no label) or a string that fits one cell of a report
+    CSV; otherwise a ``ConfigurationError`` that ``where`` opens."""
+    if text is not None and (not isinstance(text, str) or any(c in text for c in ",\r\n")):
+        raise ConfigurationError(f"{where} must be text with no comma or newline, got {text!r:.60}")
+    return text
+
+
 def load_corpus(manifest_path) -> CorpusSet:
     base = os.path.dirname(os.path.abspath(manifest_path))
     text = (lambda v: isinstance(v, str)), "a string"  # a value check for ``require_keys``
@@ -416,9 +424,11 @@ def load_corpus(manifest_path) -> CorpusSet:
     splits: dict = {"train": [], "test": []}
     fps = None
     for i, entry in enumerate(manifest["sequences"]):
-        require_keys(entry, {"path": text, "split": text}, f"{manifest_path}: sequences[{i}]")
+        where = f"{manifest_path}: sequences[{i}]"
+        require_keys(entry, {"path": text, "split": text}, where)
+        action = csv_cell(entry.get("action"), f"{where}: 'action'")  # a label in each report
         seq = load_csv(os.path.join(base, entry["path"]), topo)
-        seq = MotionSequence(frames=seq.frames, fps=seq.fps, action_label=entry.get("action"))
+        seq = MotionSequence(frames=seq.frames, fps=seq.fps, action_label=action)
         if entry["split"] not in splits:
             raise ConfigurationError(f"{manifest_path}: sequences[{i}] has unknown split "
                                      f"{entry['split']!r}")

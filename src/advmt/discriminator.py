@@ -29,8 +29,9 @@ class DiscriminatorConfig:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if self.input_dim < 1:
             raise ConfigurationError("input_dim must be positive")
-        if not self.hidden_dims:
-            raise ConfigurationError("hidden_dims must be non-empty")
+        if not self.hidden_dims or any(type(d) is not int or d < 1 for d in self.hidden_dims):
+            raise ConfigurationError(
+                f"hidden_dims must be non-empty integers >= 1, got {list(self.hidden_dims)}")
 
 
 class DiscriminatorModel:

@@ -1,11 +1,12 @@
 """Exception types shared across the package, and the one config reader
-with its JSON-object check.
+with its JSON-object and field-type checks.
 
 Grouping them here lets the CLI map error categories onto exit codes
 without string matching.
 """
 
 import dataclasses
+import typing
 
 
 class AdvmtError(Exception):
@@ -71,15 +72,32 @@ def require_keys(raw, keys, where: str) -> dict:
     return raw
 
 
+# The ``(valid, expected)`` check of a config field's value, by its declared
+# type. A JSON true is not the integer 1, and a JSON 1 is a valid float.
+_FIELD_CHECKS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple: (lambda v: isinstance(v, list), "a JSON list"),
+}
+
+
+def _field_check(kind) -> tuple:
+    """The ``(valid, expected)`` check for a field declared as ``kind``."""
+    if dataclasses.is_dataclass(kind):  # a config section: its JSON object, or the built config
+        return (lambda v: isinstance(v, (dict, kind))), "a JSON object"
+    return _FIELD_CHECKS[kind]
+
+
 def build_config(cls, raw: dict, where: str, defaults: dict = None, overrides: dict = None):
     """Construct the config dataclass ``cls`` from a copy of the dict ``raw``,
     with ``defaults`` under it and ``overrides`` over it.
 
     A ``raw`` that is not a dict (a JSON object) is refused. Each key of
     ``cls.RETIRED`` (key -> the one value that still loads) is dropped when
-    it carries that value and refused otherwise; unknown keys and missing
-    required fields are refused by name. ``where`` opens every message.
-    The caller's dicts are never changed.
+    it carries that value and refused otherwise; unknown keys, missing
+    required fields and values not of their field's type are refused by name.
+    ``where`` opens every message. The caller's dicts are never changed.
     """
     raw = {**(defaults or {}), **require_keys(raw, (), where), **(overrides or {})}
     for key, kept in getattr(cls, "RETIRED", {}).items():
@@ -98,4 +116,5 @@ def build_config(cls, raw: dict, where: str, defaults: dict = None, overrides: d
     )
     if missing:
         raise ConfigurationError(f"{where}: missing required keys {missing}")
-    return cls(**raw)
+    hints = typing.get_type_hints(cls)
+    return cls(**require_keys(raw, {key: _field_check(hints[key]) for key in raw}, where))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import ClassVar, List, Optional
 
 import numpy as np
@@ -69,13 +69,8 @@ class TrainConfig:
             raise ConfigurationError("grad_clip_norm must be positive (inf disables clipping)")
         if self.history_frames < 1 or self.predict_frames < 1 or self.window_stride < 1:
             raise ConfigurationError("history_frames, predict_frames, window_stride must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        return build_config(cls, raw, "train config")
+        if self.checkpoint_every < 0:  # epoch % -1 == 0 would checkpoint every epoch
+            raise ConfigurationError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
 
 
 class Adam:

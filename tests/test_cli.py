@@ -1,8 +1,11 @@
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -286,6 +289,28 @@ class TestTrain:
         assert f"{name} must be finite and positive, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_checkpoint_every_exits_2(self, tmp_path, corpus_dir, capsys):
+        """``epoch % -1 == 0``, so -1 used to checkpoint every epoch."""
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(TRAIN_CFG))
+        out = tmp_path / "x"
+        assert run("train", "--config", str(cfg), "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(out), "--checkpoint-every", "-1") == 2
+        assert "checkpoint_every must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", [[0], [-4], [16, 0], [True], [2.5]])
+    def test_hidden_width_below_one_exits_2(self, tmp_path, corpus_dir, capsys, dims):
+        """A zero width trained a discriminator scored by its output bias alone, and a
+        negative one failed in numpy after the run directory existed."""
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({**TRAIN_CFG, "discriminator": {"hidden_dims": dims}}))
+        out = tmp_path / "x"
+        assert run("train", "--config", str(cfg), "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(out)) == 2
+        assert f"hidden_dims must be non-empty integers >= 1, got {dims}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_fallback(self, tmp_path, corpus_dir, monkeypatch):
         monkeypatch.setenv("ADVMT_SEED", "42")
         cfg = tmp_path / "train.json"
@@ -336,6 +361,97 @@ class TestSeed:
         assert "--seed: a seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
+class TestConfigValueTypes:
+    """A config value of the wrong JSON type exits 2 naming the file and the key,
+    before any run directory exists. Each used to end in a ``TypeError``
+    traceback or to run a coerced value (``true`` as 1, 2.5 epochs)."""
+
+    def refused(self, capsys, out, *argv):
+        assert run(*argv, "--out", str(out)) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def train_refused(self, tmp_path, corpus_dir, capsys, config):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(config))
+        return cfg, self.refused(capsys, tmp_path / "x", "train", "--config", str(cfg),
+                                 "--data", str(corpus_dir / "manifest.json"))
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("lr_encoder", "0.1", "a number"), ("grad_clip_norm", True, "a number"),
+        ("epochs", True, "an integer"), ("epochs", 2.5, "an integer"),
+        ("checkpoint_every", "1", "an integer"), ("history_frames", None, "an integer"),
+    ])
+    def test_train_config(self, tmp_path, corpus_dir, capsys, key, value, expected):
+        cfg, err = self.train_refused(tmp_path, corpus_dir, capsys, {**TRAIN_CFG, key: value})
+        assert f"{cfg}: train config: {key!r} must be {expected}, got {value!r}" in err
+
+    @pytest.mark.parametrize("key,value", [("lambda_bone", "0.1"), ("lambda_adv", False)])
+    def test_weights_section(self, tmp_path, corpus_dir, capsys, key, value):
+        cfg, err = self.train_refused(tmp_path, corpus_dir, capsys,
+                                      {**TRAIN_CFG, "weights": {key: value}})
+        assert f"{cfg}: weights: {key!r} must be a number, got {value!r}" in err
+
+    @pytest.mark.parametrize("key,value", [("num_layers", "2"), ("num_heads", True),
+                                           ("ff_dim", 16.0)])
+    def test_encoder_section(self, tmp_path, corpus_dir, capsys, key, value):
+        config = {**TRAIN_CFG, "encoder": {**TRAIN_CFG["encoder"], key: value}}
+        cfg, err = self.train_refused(tmp_path, corpus_dir, capsys, config)
+        assert f"{cfg}: encoder config: {key!r} must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("hidden_dims", 16, "a JSON list"), ("hidden_dims", "16", "a JSON list"),
+        ("input_dim", 51.0, "an integer"),
+    ])
+    def test_discriminator_section(self, tmp_path, corpus_dir, capsys, key, value, expected):
+        config = {**TRAIN_CFG, "discriminator": {key: value}}
+        cfg, err = self.train_refused(tmp_path, corpus_dir, capsys, config)
+        assert f"{cfg}: discriminator config: {key!r} must be {expected}, got {value!r}" in err
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("n_train", "3", "an integer"), ("n_train", 2.5, "an integer"),
+        ("n_test", True, "an integer"), ("styles", "walk", "a JSON list"),
+        ("amplitude_scale", "1", "a number"), ("topology", ["skeleton.json"], "a string"),
+    ])
+    def test_corpus_config(self, tmp_path, capsys, key, value, expected):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({**GEN_CFG, key: value}))
+        err = self.refused(capsys, tmp_path / "c", "generate", "--config", str(cfg))
+        assert f"{cfg}: corpus config: {key!r} must be {expected}, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", ["2", 2.0, True])
+    def test_encoder_checkpoint_config(self, tmp_path, corpus_dir, capsys, value):
+        from advmt import checkpoint, model
+
+        enc = model.init_encoder(model.EncoderConfig(
+            input_dim=51, num_layers=1, num_heads=2, model_dim=16, ff_dim=16))
+        ckpt = tmp_path / "encoder.ckpt"
+        checkpoint.save(ckpt, "encoder", {**asdict(enc.config), "num_heads": value},
+                        enc.parameters() + enc.frame_statistics())
+        err = self.refused(capsys, tmp_path / "p.csv", "predict", "--checkpoint", str(ckpt),
+                           "--input", str(corpus_dir / "test" / "walk_0000.csv"))
+        assert f"{ckpt}: encoder config: 'num_heads' must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("hidden_dims", "8", "a JSON list"), ("input_dim", 6.0, "an integer"),
+        ("input_dim", True, "an integer"),
+    ])
+    def test_discriminator_checkpoint_config(self, tmp_path, key, value, expected):
+        from advmt import checkpoint
+        from advmt import discriminator as disc_mod
+        from advmt.errors import CheckpointError
+
+        disc = disc_mod.init_discriminator(
+            disc_mod.DiscriminatorConfig(input_dim=6, hidden_dims=(8,)), seed=0)
+        ckpt = tmp_path / "disc.ckpt"
+        checkpoint.save(ckpt, "discriminator", {**asdict(disc.config), key: value},
+                        disc.parameters())
+        with pytest.raises(CheckpointError) as exc:  # an AdvmtError: exit 2 from the CLI
+            disc_mod.load_checkpoint(ckpt)
+        assert str(exc.value) == (
+            f"{ckpt}: discriminator config: {key!r} must be {expected}, got {value!r}")
+
+
 class TestEval:
     def test_history_frames_must_match_the_checkpoint(self, tmp_path, corpus_dir, trained_dir,
                                                       capsys):
@@ -373,6 +489,26 @@ class TestEval:
         rows = (out / "ablation.csv").read_text().strip().splitlines()
         assert rows[0] == "variant,horizon_ms,mpjpe_mm"
         assert len(rows) == 1 + 2 * 6
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--label", "full,clip"], "--label must be text with no comma or newline, "
+                                   "got 'full,clip'"),
+        (["--label", "full\nclip"], "--label must be text with no comma or newline"),
+        (["--ablate", "a,b={ckpt}"], "--ablate label must be text with no comma or newline, "
+                                     "got 'a,b'"),
+        (["--ablate", "a\rb={ckpt}"], "--ablate label must be text with no comma or newline"),
+    ])
+    def test_label_that_is_not_one_csv_cell_exits_2(self, tmp_path, corpus_dir, trained_dir,
+                                                    capsys, flags, named):
+        """A label is the first cell of an ``ablation.csv`` row; a comma in it made rows of
+        five cells."""
+        ckpt = trained_dir / "encoder.ckpt"
+        out = tmp_path / "x"
+        assert run("eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(out), "--ablate", f"v={ckpt}",
+                   *[flag.format(ckpt=ckpt) for flag in flags]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_render_strips(self, tmp_path, corpus_dir, trained_dir):
         out = tmp_path / "strips"
@@ -476,6 +612,24 @@ class TestMalformedCorpus:
         self.edit(manifest, spoil)
         err = self.refused(capsys, "validate", "--data", str(manifest))
         assert f"{manifest}: sequences[1]: {key!r} must be a string, got {bad!r}" in err
+
+    @pytest.mark.parametrize("bad", [["walk"], "walk,fast", "walk\nfast", 3])
+    def test_action_that_is_not_one_csv_cell(self, tmp_path, corpus_dir, capsys, bad):
+        """An action is a cell of ``report.csv``: a list ended in an unhashable-type
+        traceback, and a comma wrote rows that ``EvalReport.from_csv`` could not read."""
+        manifest = corpus_dir / "manifest.json"
+
+        def spoil(raw):
+            raw["sequences"][1]["action"] = bad
+            return raw
+
+        self.edit(manifest, spoil)
+        out = tmp_path / "x"
+        err = self.refused(capsys, "eval", "--baseline-only", "--history-frames", "50",
+                           "--data", str(manifest), "--out", str(out))
+        assert (f"{manifest}: sequences[1]: 'action' must be text with no comma or newline, "
+                f"got {bad!r}") in err
+        assert not out.exists()
 
     def skeleton_refusals(self, tmp_path, corpus_dir, capsys):
         """stderr of ``validate`` and of ``predict --skeleton``, each of which must exit 2."""
@@ -597,3 +751,26 @@ def test_python_dash_m_runs_the_cli():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == f"advmt {__version__}"
+
+
+def test_readme_commands_parse():
+    """Every ``advmt`` command line in README.md's code blocks, with its ``\\``
+    continuations joined, parses with the current flags; none is run. A renamed
+    or removed flag fails here instead of misleading a reader."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), re.S | re.M)
+    commands = [shlex.split(line, comments=True)[1:]
+                for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("advmt ")]
+    assert commands
+    parser = cli.build_parser()
+    refused = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            if exc.code:
+                refused.append(shlex.join(["advmt", *argv]))
+    assert not refused

@@ -190,6 +190,14 @@ class TestCheckpoint:
         for a, b in zip(disc.parameters(), loaded.parameters()):
             assert np.array_equal(a.data, b.data)
 
+    def test_zero_hidden_width_refused(self, tmp_path):
+        disc = init_discriminator(DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), seed=7)
+        path = tmp_path / "disc.ckpt"
+        self._save_with_config(disc, path, hidden_dims=[8, 0])
+        with pytest.raises(CheckpointError, match=r"disc\.ckpt: hidden_dims must be non-empty "
+                                                  r"integers >= 1, got \[8, 0\]$"):
+            load_checkpoint(path)
+
     def test_other_activation_refused(self, tmp_path):
         disc = init_discriminator(DiscriminatorConfig(input_dim=6, hidden_dims=(8, 4)), seed=7)
         path = tmp_path / "disc.ckpt"
@@ -210,3 +218,10 @@ class TestConfigValidation:
     def test_hidden_dims_non_empty(self):
         with pytest.raises(ConfigurationError):
             DiscriminatorConfig(input_dim=6, hidden_dims=())
+
+    @pytest.mark.parametrize("dims", [(0,), (8, -4), (True,), (2.5,)])
+    def test_hidden_widths_are_integers_of_at_least_one(self, dims):
+        """A zero width left the score to the output bias alone."""
+        with pytest.raises(ConfigurationError,
+                           match=r"^hidden_dims must be non-empty integers >= 1, got \["):
+            DiscriminatorConfig(input_dim=6, hidden_dims=dims)

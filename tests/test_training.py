@@ -1,11 +1,13 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from advmt.data import CorpusConfig, generate_corpus
 from advmt.discriminator import DiscriminatorConfig
-from advmt.errors import ConfigurationError, ContractError, DivergenceError, HorizonError
+from advmt.errors import (
+    ConfigurationError, ContractError, DivergenceError, HorizonError, build_config,
+)
 from advmt.losses import LossWeights
 from advmt.model import EncoderConfig
 from advmt import tensor
@@ -42,28 +44,29 @@ class TestConfig:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig.from_dict({"epochs": 1, "bogus": 2})
+            build_config(TrainConfig, {"epochs": 1, "bogus": 2}, "train config")
 
     def test_dict_roundtrip(self):
         cfg = TrainConfig(epochs=3, weights=LossWeights(lambda_adv=0.2))
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert build_config(TrainConfig, asdict(cfg), "train config") == cfg
 
     def test_legacy_rollout_mode_accepted(self):
         raw = {"epochs": 2, "rollout_mode": "full_autoregressive"}
-        assert TrainConfig.from_dict(raw) == TrainConfig(epochs=2)
+        assert build_config(TrainConfig, raw, "train config") == TrainConfig(epochs=2)
         assert raw["rollout_mode"] == "full_autoregressive"  # the caller's dict is left alone
 
     def test_other_rollout_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="rollout_mode"):
-            TrainConfig.from_dict({"rollout_mode": "teacher_forcing"})
+            build_config(TrainConfig, {"rollout_mode": "teacher_forcing"}, "train config")
 
     @pytest.mark.parametrize("key, kept, other", [
         ("adam_beta1", 0.9, 0.8), ("adam_beta2", 0.999, 0.99), ("adam_eps", 1e-8, 1e-6),
     ])
     def test_retired_adam_knobs(self, key, kept, other):
-        assert TrainConfig.from_dict({"epochs": 2, key: kept}) == TrainConfig(epochs=2)
+        raw = {"epochs": 2, key: kept}
+        assert build_config(TrainConfig, raw, "train config") == TrainConfig(epochs=2)
         with pytest.raises(ConfigurationError, match=f"unsupported {key} {other!r}"):
-            TrainConfig.from_dict({key: other})
+            build_config(TrainConfig, {key: other}, "train config")
 
     def test_retired_loss_norm_l2_loads(self):
         weights = {"lambda_adv": 0.2, "loss_norm": "l2"}
@@ -72,7 +75,20 @@ class TestConfig:
 
     def test_retired_loss_norm_l2_squared_refused(self):
         with pytest.raises(ConfigurationError, match="loss_norm 'l2_squared'"):
-            TrainConfig.from_dict({"weights": {"loss_norm": "l2_squared"}})
+            build_config(TrainConfig, {"weights": {"loss_norm": "l2_squared"}}, "train config")
+
+    def test_negative_checkpoint_every_rejected(self):
+        """``epoch % -1 == 0``, so -1 checkpointed every epoch."""
+        with pytest.raises(ConfigurationError, match=r"^checkpoint_every must be >= 0, got -1$"):
+            TrainConfig(checkpoint_every=-1)
+
+    @pytest.mark.parametrize("cls,key", [
+        (TrainConfig, "lr_encoder"), (TrainConfig, "grad_clip_norm"),
+        (LossWeights, "lambda_bone"), (CorpusConfig, "amplitude_scale"),
+    ])
+    def test_float_field_takes_a_json_integer(self, cls, key):
+        """A ``float`` field takes any JSON number that is not a bool, so 1 loads."""
+        assert getattr(build_config(cls, {key: 1}, "config"), key) == 1
 
     @pytest.mark.parametrize("name", ["lr_encoder", "lr_disc"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-3])
