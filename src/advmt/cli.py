@@ -283,12 +283,13 @@ def cmd_eval(args) -> int:
     if args.render < 0:
         raise AdvmtError(f"--render must be >= 0, got {args.render}")
     csv_cell(args.label, "--label")  # labels are cells of ablation.csv
-    variants = []  # (label, encoder) per --ablate, all read before any output
+    variants = []  # (label, checkpoint, encoder) per --ablate, all read before any output
     for item in args.ablate or ():
         label, _, ckpt = item.partition("=")
         if not ckpt:
             raise AdvmtError(f"--ablate expects label=checkpoint, got {item!r}")
-        variants.append((csv_cell(label, "--ablate label"), model_mod.load_checkpoint(ckpt)))
+        variants.append((csv_cell(label, "--ablate label"), ckpt,
+                         model_mod.load_checkpoint(ckpt)))
     corpus_set = load_corpus(args.data)
     if corpus_set.test is None:
         raise AdvmtError(f"{args.data}: corpus has no test split to evaluate")
@@ -308,6 +309,18 @@ def cmd_eval(args) -> int:
         if args.history_frames not in (None, model.config.history_len):
             raise AdvmtError(f"--history-frames {args.history_frames} does not match the "
                              f"{model.config.history_len}-frame history of {args.checkpoint}")
+        if variants and not args.label:  # the file name labels the model's ablation.csv rows
+            csv_cell(checkpoint_label, "--checkpoint file name (the ablation label unless "
+                                       "--label is given)")
+    # evaluate windows each model by its own history length, and every row of an
+    # ablation table must come from the same windows
+    tabled = [(args.checkpoint, model)] if variants and model is not None else []
+    tabled += [(ckpt, variant) for _, ckpt, variant in variants]
+    for ckpt, variant in tabled[1:]:
+        t, first_t = variant.config.history_len, tabled[0][1].config.history_len
+        if t != first_t:
+            raise AdvmtError(f"{ckpt} has a {t}-frame history, but {tabled[0][0]} has {first_t}: "
+                             "every checkpoint of an ablation table must share one history length")
 
     report = evaluate(
         model, corpus_set.test, horizons,
@@ -330,7 +343,7 @@ def cmd_eval(args) -> int:
                 label = args.label or checkpoint_label or "model"
                 runs.append((label, report))
             runs += [(label, evaluate(variant, corpus_set.test, horizons, stride=args.stride))
-                     for label, variant in variants]
+                     for label, _, variant in variants]
             table = ablation_report(runs)
             table.to_csv(os.path.join(args.out, "ablation.csv"))
             print(table.to_text())
@@ -339,8 +352,8 @@ def cmd_eval(args) -> int:
             t = model.config.history_len
             l = max(horizons.frames())
             samples = collect_windows(corpus_set.test, t, l, args.stride)[: args.render]
-            for k, sample in enumerate(samples):
-                pred = model_mod.rollout(model, sample.input, l)
+            preds = model_mod.rollout(model, np.stack([s.input for s in samples]), l)
+            for k, (sample, pred) in enumerate(zip(samples, preds)):
                 render_pose_strip(
                     [_sequence_of(sample.target, fps, "truth"),
                      _sequence_of(pred, fps, "prediction")],

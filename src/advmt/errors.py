@@ -6,6 +6,7 @@ without string matching.
 """
 
 import dataclasses
+import sys
 import typing
 
 
@@ -73,10 +74,12 @@ def require_keys(raw, keys, where: str) -> dict:
 
 
 # The ``(valid, expected)`` check of a config field's value, by its declared
-# type. A JSON true is not the integer 1, and a JSON 1 is a valid float.
+# type. A JSON true is not the integer 1, and a JSON 1 is a valid float, but
+# an integer too large for a float (float() of it raises) is not.
 _FIELD_CHECKS = {
     int: (lambda v: type(v) is int, "an integer"),
-    float: (lambda v: type(v) in (int, float), "a number"),
+    float: (lambda v: type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max),
+            "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
     tuple: (lambda v: isinstance(v, list), "a JSON list"),
 }

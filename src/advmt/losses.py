@@ -103,7 +103,9 @@ def total_loss(
     weights: LossWeights,
     last_observed,
 ) -> tuple:
-    """Position + lambda_B * bone + lambda_D * adversarial, as one graph node.
+    """Position + lambda_B * bone + lambda_D * adversarial, built from the
+    engine's small ops: 31 op nodes (43 with leaves) for a (2, 25, 17, 3)
+    prediction with the default discriminator.
 
     Returns (the loss node to backpropagate, its LossBreakdown of floats).
 

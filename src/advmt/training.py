@@ -22,10 +22,10 @@ from . import model as model_mod
 from .data import CorpusSet
 from .discriminator import DiscriminatorConfig, DiscriminatorModel, discriminator_loss
 from .errors import ConfigurationError, ContractError, DivergenceError, HorizonError, build_config
-from .evaluation import DEFAULT_HORIZONS_MS, _batched_rollout, collect_windows, mpjpe_at_horizon
+from .evaluation import DEFAULT_HORIZONS_MS, collect_windows, mpjpe_at_horizon
 from .fileio import atomic_write
 from .losses import LossBreakdown, LossWeights, boundary_deltas, total_loss
-from .model import EncoderConfig, EncoderModel, rollout_graph
+from .model import EncoderConfig, EncoderModel, _batched_rollout, rollout_graph
 from .tensor import Tensor, _keep_freed_memory, global_grad_norm
 
 

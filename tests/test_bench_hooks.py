@@ -1,9 +1,13 @@
 """The benchmark under bench/ wraps program functions by name, so renaming
 one of them must fail this fast test rather than only the traced benchmark."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,6 +33,28 @@ def test_benchmark_tests_pass():
         capture_output=True, text=True, timeout=600,
     )
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["train", "eval", "predict"])
+def test_benchmark_workload_runs_once(tmp_path, workload):
+    """One short traced run of each benchmark workload, as the benchmark runs it:
+    through ``fit``, ``evaluate``, ``model.rollout`` and ``cli.main`` with every
+    hook wrapped. The hook test above only installs the wrappers, so a moved
+    name would otherwise fail only in the benchmark itself. ``src/`` and
+    ``bench/`` are copied, so the run writes nothing into the checkout. Seed 0
+    is fixed; the ``train`` check's known failing seeds are a separate matter."""
+    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    for part in ("src", "bench"):
+        shutil.copytree(os.path.join(ROOT, part), tmp_path / part, ignore=skip)
+    result = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1",
+         "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+    last = json.loads(result.stdout.strip().splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), result.stderr[-4000:]
 
 
 def test_each_layer_call_enters_attention_once(monkeypatch):

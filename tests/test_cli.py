@@ -419,6 +419,24 @@ class TestConfigValueTypes:
         err = self.refused(capsys, tmp_path / "c", "generate", "--config", str(cfg))
         assert f"{cfg}: corpus config: {key!r} must be {expected}, got {value!r}" in err
 
+    @pytest.mark.parametrize("section,key", [("train config", "lr_encoder"),
+                                             ("weights", "lambda_bone"),
+                                             ("corpus config", "amplitude_scale")])
+    def test_integer_too_large_for_a_float(self, tmp_path, corpus_dir, capsys, section, key):
+        """A JSON integer that float() cannot convert passed the type check and
+        ended in an ``OverflowError`` (or ``TypeError``) traceback."""
+        huge = 10 ** 400
+        if section == "corpus config":
+            cfg = tmp_path / "gen.json"
+            cfg.write_text(json.dumps({**GEN_CFG, key: huge}))
+            err = self.refused(capsys, tmp_path / "c", "generate", "--config", str(cfg))
+        else:
+            config = ({**TRAIN_CFG, key: huge} if section == "train config"
+                      else {**TRAIN_CFG, section: {key: huge}})
+            cfg, err = self.train_refused(tmp_path, corpus_dir, capsys, config)
+        assert f"{cfg}: {section}: {key!r} must be a number, got {str(huge)[:60]}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["2", 2.0, True])
     def test_encoder_checkpoint_config(self, tmp_path, corpus_dir, capsys, value):
         from advmt import checkpoint, model
@@ -509,6 +527,49 @@ class TestEval:
                    *[flag.format(ckpt=ckpt) for flag in flags]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_checkpoint_file_name_that_is_not_one_csv_cell_exits_2(self, tmp_path, corpus_dir,
+                                                                   trained_dir, capsys):
+        """Without ``--label`` the file name labels the model's ``ablation.csv`` rows;
+        ``a,b.ckpt`` wrote rows of four cells under a three-cell header."""
+        ckpt = tmp_path / "a,b.ckpt"
+        ckpt.write_bytes((trained_dir / "encoder.ckpt").read_bytes())
+        argv = ["eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir / "manifest.json"),
+                "--ablate", f"v={ckpt}"]
+        assert run(*argv, "--out", str(tmp_path / "x")) == 2
+        assert ("--checkpoint file name (the ablation label unless --label is given) must be "
+                "text with no comma or newline, got 'a,b.ckpt'" in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+        assert run(*argv, "--out", str(tmp_path / "y"), "--label", "full") == 0
+        rows = (tmp_path / "y" / "ablation.csv").read_text().splitlines()
+        assert all(len(row.split(",")) == 3 for row in rows)
+
+    @pytest.mark.parametrize("flags", [[], ["--baseline-only", "--history-frames", "50"]],
+                             ids=["checkpoint", "baseline_only"])
+    def test_ablation_checkpoints_must_share_one_history_length(self, tmp_path, corpus_dir,
+                                                                 capsys, flags):
+        """``evaluate`` windows each model by its own history length, so a 50-frame and
+        a 20-frame checkpoint were scored on different windows in one table."""
+        from advmt import model
+
+        def checkpoint(name, history_len):
+            path = tmp_path / name
+            model.save_checkpoint(model.init_encoder(model.EncoderConfig(
+                input_dim=51, num_layers=1, num_heads=2, model_dim=16, ff_dim=16,
+                history_len=history_len)), path)
+            return path
+
+        full, same, short = (checkpoint("full.ckpt", 50), checkpoint("same.ckpt", 50),
+                             checkpoint("short.ckpt", 20))
+        argv = ["eval", "--data", str(corpus_dir / "manifest.json"), "--out", str(tmp_path / "x"),
+                *flags, "--checkpoint", str(full), "--ablate", f"same={same}",
+                "--ablate", f"short={short}"]
+        assert run(*argv) == 2
+        first = same if flags else full  # --baseline-only puts no --checkpoint row in the table
+        assert (f"{short} has a 20-frame history, but {first} has 50: every checkpoint "
+                "of an ablation table must share one history length" in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+        assert run(*argv[:-2]) == 0
 
     def test_render_strips(self, tmp_path, corpus_dir, trained_dir):
         out = tmp_path / "strips"
@@ -677,6 +738,25 @@ class TestPredict:
 
         seq = load_csv(out, SkeletonTopology.default_17())
         assert seq.n_frames == 10
+
+    def test_csv_equals_its_row_of_the_stacked_rollout(self, tmp_path, corpus_dir, trained_dir):
+        """``predict`` forecasts one history through the loop that rolls out a stack."""
+        from advmt import model
+        from advmt.data import load_corpus, load_csv, save_csv
+        from advmt.evaluation import collect_windows
+        from advmt.skeleton import MotionSequence, SkeletonTopology
+
+        topo = SkeletonTopology.default_17()
+        ckpt = trained_dir / "encoder.ckpt"
+        windows = collect_windows(load_corpus(corpus_dir / "manifest.json").test, 50, 25, 5)
+        stacked = model.rollout(model.load_checkpoint(ckpt), np.stack([w.input for w in windows]),
+                                10)
+        for k in (0, len(windows) - 1):
+            src, out = tmp_path / f"history_{k}.csv", tmp_path / f"pred_{k}.csv"
+            save_csv(MotionSequence(frames=windows[k].input, fps=25), src, topo.joint_names)
+            assert run("predict", "--checkpoint", str(ckpt), "--input", str(src),
+                       "--frames", "10", "--out", str(out)) == 0
+            assert load_csv(out, topo).frames.tobytes() == stacked[k].tobytes()
 
     @pytest.mark.parametrize("frames", ["0", "-2"])
     def test_no_frames_exits_2_naming_the_flag(self, tmp_path, corpus_dir, trained_dir, capsys,

@@ -6,14 +6,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from advmt import evaluation, tensor
+from advmt import model as model_mod
+from advmt import tensor
 from advmt.data import Corpus, CorpusConfig, generate_corpus
 from advmt.errors import ConfigurationError, HorizonError, ReportError
 from advmt.evaluation import (
-    ROLLOUT_CHUNK,
     EvalReport,
     HorizonSet,
-    _batched_rollout,
     ablation_report,
     evaluate,
     horizon_frames,
@@ -23,7 +22,7 @@ from advmt.evaluation import (
     zero_velocity_baseline,
 )
 from advmt.losses import mpjpe
-from advmt.model import EncoderConfig, init_encoder, rollout_graph
+from advmt.model import ROLLOUT_CHUNK, EncoderConfig, _batched_rollout, init_encoder, rollout_graph
 from advmt.skeleton import MotionSequence, temporal_difference
 from advmt.tensor import Tensor, no_grad
 
@@ -232,7 +231,7 @@ def recording_rollout(monkeypatch):
         calls.append((threading.get_ident(), window.shape[0], out.requires_grad))
         return out
 
-    monkeypatch.setattr(evaluation, "rollout_graph", recorded)
+    monkeypatch.setattr(model_mod, "rollout_graph", recorded)
     return calls
 
 
@@ -253,7 +252,7 @@ class TestBatchedRollout:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("w", [1, 7, 8, 9, 17, 20, 72])
     def test_bytes_equal_serial_chunks(self, monkeypatch, rng, cpus, w):
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(model_mod, "_cpu_count", lambda: cpus)
         calls = recording_rollout(monkeypatch)
         model = tiny_encoder()
         histories = rng.standard_normal((w, 6, 2, 3))
@@ -264,7 +263,7 @@ class TestBatchedRollout:
         assert max(n for _, n, _ in calls) <= ROLLOUT_CHUNK
 
     def test_more_threads_than_cores_with_fast_switching(self, monkeypatch, rng):
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 5)
+        monkeypatch.setattr(model_mod, "_cpu_count", lambda: 5)
         model = tiny_encoder()
         histories = rng.standard_normal((72, 6, 2, 3))
         interval = sys.getswitchinterval()
@@ -277,7 +276,7 @@ class TestBatchedRollout:
 
     @pytest.mark.parametrize("bad", [0, 5], ids=["caller_chunk", "helper_chunk"])
     def test_error_in_one_chunk_is_raised_after_every_thread_ends(self, monkeypatch, rng, bad):
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(model_mod, "_cpu_count", lambda: 2)
         histories = rng.standard_normal((20, 6, 2, 3))  # four chunks of 5: 0, 2 on the caller
         histories[bad, 0, 0, 0] = 999.0
         threads = threading.active_count()
@@ -287,7 +286,7 @@ class TestBatchedRollout:
         assert tensor._grad_enabled is True
 
     def test_no_graph_with_grad_enabled(self, monkeypatch, rng):
-        monkeypatch.setattr(evaluation, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(model_mod, "_cpu_count", lambda: 2)
         calls = recording_rollout(monkeypatch)
         model = tiny_encoder()
         assert tensor._grad_enabled and all(p.requires_grad for p in model.parameters())

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from advmt import model as model_mod
 from advmt.errors import CheckpointError, ConfigurationError, ContractError
 from advmt.model import (
     EncoderConfig,
@@ -171,6 +172,30 @@ class TestRollout:
     def test_l_frames_validated(self, tiny_model, rng):
         with pytest.raises(ContractError):
             rollout(tiny_model, rng.standard_normal((8, 2, 3)), 0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("w", [1, 7, 9, 20])
+    def test_stack_equals_single_histories_bitwise(self, monkeypatch, tiny_model, rng, cpus, w):
+        """A (W, T, N, 3) stack goes through the same chunked, threaded loop as
+        one history, and each row is that history's own forecast."""
+        monkeypatch.setattr(model_mod, "_cpu_count", lambda: cpus)
+        set_random_statistics(tiny_model, rng)
+        histories = rng.standard_normal((w, 8, 2, 3)) * 100
+        stacked = rollout(tiny_model, histories, 6)
+        assert stacked.shape == (w, 6, 2, 3)
+        single = np.stack([rollout(tiny_model, h, 6) for h in histories])
+        assert stacked.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 2, 3), (8, 3, 3), (8, 3, 2), (8, 6), (2, 2, 8, 2, 3),
+                                       (2, 7, 2, 3)], ids=lambda s: "x".join(map(str, s)))
+    def test_history_shape_validated(self, tiny_model, shape):
+        with pytest.raises(ContractError, match=r"history must be \(8, N, 3\) or "
+                                                r"\(W, 8, N, 3\) with 3N = 6, got "):
+            rollout(tiny_model, np.zeros(shape), 3)
+
+    def test_negative_l_frames_validated(self, tiny_model):
+        with pytest.raises(ContractError, match="l_frames must be >= 1, got -1"):
+            rollout(tiny_model, np.zeros((2, 8, 2, 3)), -1)
 
 
 class _Unpruned:
