@@ -46,9 +46,9 @@ from .discriminator import (
 from .losses import LossBreakdown, LossWeights, bone_loss, mpjpe, total_loss
 from .training import TrainConfig, TrainLog, Trainer, fit
 from .evaluation import (
+    AblationTable,
     EvalReport,
     HorizonSet,
-    ablation_report,
     evaluate,
     horizon_frames,
     mpjpe_at_horizon,

@@ -36,8 +36,8 @@ from .data import (
 from .errors import AdvmtError, DivergenceError, build_config
 from .evaluation import (
     DEFAULT_HORIZONS_MS,
+    AblationTable,
     HorizonSet,
-    ablation_report,
     collect_windows,
     evaluate,
     render_pose_strip,
@@ -282,14 +282,38 @@ def _sequence_of(frames, fps, action):
 def cmd_eval(args) -> int:
     if args.render < 0:
         raise AdvmtError(f"--render must be >= 0, got {args.render}")
+    if args.render and args.baseline_only:
+        raise AdvmtError("--render draws the --checkpoint model's forecasts, so it cannot "
+                         "be used with --baseline-only")
     csv_cell(args.label, "--label")  # labels are cells of ablation.csv
-    variants = []  # (label, checkpoint, encoder) per --ablate, all read before any output
+    for flag, path in (("--data", args.data), ("--checkpoint", args.checkpoint or "")):
+        name = os.path.basename(path)  # each base name fills a comment line of report.csv
+        if "\n" in name or "\r" in name:
+            raise AdvmtError(f"{flag} file name must have no line break, got {name!r}")
+    checkpoints = []  # (label, path, encoder), all read and checked before any output
+    if not args.baseline_only:
+        if not args.checkpoint:
+            raise AdvmtError("--checkpoint is required unless --baseline-only is given")
+        checkpoints.append((args.label or os.path.basename(args.checkpoint), args.checkpoint))
     for item in args.ablate or ():
-        label, _, ckpt = item.partition("=")
-        if not ckpt:
+        label, _, path = item.partition("=")
+        if not path:
             raise AdvmtError(f"--ablate expects label=checkpoint, got {item!r}")
-        variants.append((csv_cell(label, "--ablate label"), ckpt,
-                         model_mod.load_checkpoint(ckpt)))
+        checkpoints.append((label, path))
+    checkpoints = [(label, path, model_mod.load_checkpoint(path)) for label, path in checkpoints]
+    model = None if args.baseline_only else checkpoints[0][2]
+    for label, path, encoder in checkpoints:
+        t, t0 = encoder.config.history_len, checkpoints[0][2].config.history_len
+        if encoder is model and args.history_frames not in (None, t):
+            raise AdvmtError(f"--history-frames {args.history_frames} does not match the "
+                             f"{t}-frame history of {path}")
+        if args.ablate:  # ablation.csv cells; the --checkpoint one is --label's if that is given
+            csv_cell(label, "--ablate label" if encoder is not model else
+                     "--checkpoint file name (the ablation label unless --label is given)")
+        if t != t0:  # evaluate windows each model by its own history length
+            raise AdvmtError(f"{path} has a {t}-frame history, but {checkpoints[0][1]} has {t0}: "
+                             "every checkpoint of an ablation table must share one history length")
+
     corpus_set = load_corpus(args.data)
     if corpus_set.test is None:
         raise AdvmtError(f"{args.data}: corpus has no test split to evaluate")
@@ -298,34 +322,11 @@ def cmd_eval(args) -> int:
         horizons = HorizonSet([int(m) for m in args.horizons.split(",")], fps)
     except ValueError as exc:  # a HorizonError, or int() naming the entry
         raise AdvmtError(f"--horizons: {exc}") from None
-
-    model = None
-    checkpoint_label = ""
-    if not args.baseline_only:
-        if not args.checkpoint:
-            raise AdvmtError("--checkpoint is required unless --baseline-only is given")
-        model = model_mod.load_checkpoint(args.checkpoint)
-        checkpoint_label = os.path.basename(args.checkpoint)
-        if args.history_frames not in (None, model.config.history_len):
-            raise AdvmtError(f"--history-frames {args.history_frames} does not match the "
-                             f"{model.config.history_len}-frame history of {args.checkpoint}")
-        if variants and not args.label:  # the file name labels the model's ablation.csv rows
-            csv_cell(checkpoint_label, "--checkpoint file name (the ablation label unless "
-                                       "--label is given)")
-    # evaluate windows each model by its own history length, and every row of an
-    # ablation table must come from the same windows
-    tabled = [(args.checkpoint, model)] if variants and model is not None else []
-    tabled += [(ckpt, variant) for _, ckpt, variant in variants]
-    for ckpt, variant in tabled[1:]:
-        t, first_t = variant.config.history_len, tabled[0][1].config.history_len
-        if t != first_t:
-            raise AdvmtError(f"{ckpt} has a {t}-frame history, but {tabled[0][0]} has {first_t}: "
-                             "every checkpoint of an ablation table must share one history length")
-
     report = evaluate(
         model, corpus_set.test, horizons,
         history_frames=args.history_frames, stride=args.stride,
-        corpus_label=os.path.basename(args.data), checkpoint_label=checkpoint_label,
+        corpus_label=os.path.basename(args.data),
+        checkpoint_label="" if model is None else os.path.basename(args.checkpoint),
     )
 
     with RunDirectory(args.out) as run:
@@ -337,18 +338,17 @@ def cmd_eval(args) -> int:
         report.to_csv(report_path)
         print(f"wrote {report_path}")
 
-        if args.ablate:
-            runs = []
-            if model is not None:
-                label = args.label or checkpoint_label or "model"
-                runs.append((label, report))
-            runs += [(label, evaluate(variant, corpus_set.test, horizons, stride=args.stride))
-                     for label, _, variant in variants]
-            table = ablation_report(runs)
+        if args.ablate:  # the model's row is report.csv's; each variant's, its own evaluate's
+            reports = [report if encoder is model else
+                       evaluate(encoder, corpus_set.test, horizons, stride=args.stride)
+                       for _, _, encoder in checkpoints]
+            table = AblationTable(horizons.milliseconds, [
+                (label, [r.value("model", "all", ms) for ms in horizons.milliseconds])
+                for (label, _, _), r in zip(checkpoints, reports)])
             table.to_csv(os.path.join(args.out, "ablation.csv"))
             print(table.to_text())
 
-        if args.render and model is not None:
+        if args.render:
             t = model.config.history_len
             l = max(horizons.frames())
             samples = collect_windows(corpus_set.test, t, l, args.stride)[: args.render]

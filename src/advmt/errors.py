@@ -50,10 +50,6 @@ class HorizonError(AdvmtError, ValueError):
     """An evaluation horizon does not map onto a valid predicted frame."""
 
 
-class ReportError(AdvmtError, ValueError):
-    """Evaluation reports being combined are inconsistent."""
-
-
 class DivergenceError(AdvmtError, RuntimeError):
     """Training produced a non-finite loss; message carries epoch and step."""
 

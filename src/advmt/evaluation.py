@@ -1,5 +1,6 @@
-"""Per-horizon MPJPE evaluation against the zero-velocity baseline,
-ablation tables, and qualitative SVG pose strips.
+"""Per-horizon MPJPE evaluation against the zero-velocity baseline, the
+variants-by-horizons ablation table (filled from each variant's report by
+``advmt eval --ablate``), and qualitative SVG pose strips.
 
 Per-horizon error is the single-frame joint error at that horizon (not the
 average up to it), matching the column convention of the comparison
@@ -10,12 +11,12 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .data import Corpus, window
-from .errors import ConfigurationError, HorizonError, ReportError
+from .errors import ConfigurationError, HorizonError
 from .fileio import atomic_write
 # Imported by name, because the benchmark's tracer wraps ``evaluation._batched_rollout``.
 from .model import EncoderModel, _batched_rollout
@@ -242,23 +243,6 @@ class AblationTable:
         for label, values in self.rows:
             lines.append(label.ljust(width) + "".join(f"{v:>10.1f}" for v in values))
         return "\n".join(lines)
-
-
-def ablation_report(runs: List[Tuple[str, EvalReport]]) -> AblationTable:
-    """Combine evaluation reports into a variants-by-horizons grid."""
-    if not runs:
-        raise ReportError("ablation_report needs at least one run")
-    horizons = runs[0][1].horizons_ms
-    rows = []
-    for label, report in runs:
-        if report.horizons_ms != horizons:
-            raise ReportError(
-                f"run {label!r} horizons {report.horizons_ms} != {horizons}"
-            )
-        if "model" not in report.cells:
-            raise ReportError(f"run {label!r} has no model system to tabulate")
-        rows.append((label, [report.value("model", "all", ms) for ms in horizons]))
-    return AblationTable(horizons_ms=horizons, rows=rows)
 
 
 _STRIP_COLORS = ("#7b3294", "#1f77b4", "#2ca02c", "#d62728")

@@ -508,6 +508,67 @@ class TestEval:
         assert rows[0] == "variant,horizon_ms,mpjpe_mm"
         assert len(rows) == 1 + 2 * 6
 
+    def test_model_rows_of_the_ablation_table_are_the_report_cells(self, tmp_path, corpus_dir,
+                                                                   trained_dir):
+        """The ``--checkpoint`` rows of ``ablation.csv`` are ``report.csv``'s ``model,all``
+        cells as text, horizon by horizon; a variant's rows come from its own model."""
+        from advmt import model
+
+        other = tmp_path / "other.ckpt"
+        model.save_checkpoint(model.init_encoder(model.EncoderConfig(
+            input_dim=51, num_layers=1, num_heads=2, model_dim=16, ff_dim=16)), other)
+        out = tmp_path / "ablate"
+        assert run("eval", "--checkpoint", str(trained_dir / "encoder.ckpt"), "--label", "full",
+                   "--ablate", f"other={other}", "--data", str(corpus_dir / "manifest.json"),
+                   "--out", str(out)) == 0
+        cells = [line.split(",", 2)[2] for line in (out / "report.csv").read_text().splitlines()
+                 if line.startswith("model,all,")]
+        rows = (out / "ablation.csv").read_text().splitlines()[1:]
+        assert len(cells) == 6
+        assert [row.split(",", 1)[1] for row in rows if row.startswith("full,")] == cells
+        variant = [row.split(",", 1)[1] for row in rows if row.startswith("other,")]
+        assert [row.split(",")[0] for row in variant] == [cell.split(",")[0] for cell in cells]
+        assert variant != cells
+
+    def test_baseline_only_tables_exactly_the_ablate_rows_in_order(self, tmp_path, corpus_dir,
+                                                                   trained_dir):
+        ckpt = trained_dir / "encoder.ckpt"
+        out = tmp_path / "ablate"
+        assert run("eval", "--baseline-only", "--history-frames", "50", "--checkpoint", str(ckpt),
+                   "--ablate", f"b={ckpt}", "--ablate", f"a={ckpt}",
+                   "--data", str(corpus_dir / "manifest.json"), "--out", str(out)) == 0
+        rows = [row.split(",")[:2] for row in (out / "ablation.csv").read_text().splitlines()[1:]]
+        horizons = ["160", "400", "560", "720", "880", "1000"]
+        assert rows == [[label, ms] for label in ("b", "a") for ms in horizons]
+
+    def test_same_run_twice_writes_the_same_bytes(self, tmp_path, corpus_dir, trained_dir):
+        ckpt = trained_dir / "encoder.ckpt"
+        outs = [tmp_path / "one", tmp_path / "two"]
+        for out in outs:
+            assert run("eval", "--checkpoint", str(ckpt), "--render", "2", "--label", "full",
+                       "--ablate", f"v={ckpt}", "--data", str(corpus_dir / "manifest.json"),
+                       "--out", str(out)) == 0
+        for name in ("report.csv", "ablation.csv", "strip_000.svg", "strip_001.svg"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("char", ["\n", "\r"], ids=["LF", "CR"])
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--data"])
+    def test_file_name_with_a_line_break_exits_2(self, tmp_path, corpus_dir, trained_dir, capsys,
+                                                 flag, char):
+        """Each base name fills a comment line of ``report.csv``; ``nl<LF>x.ckpt`` split it
+        in two, and ``EvalReport.from_csv`` failed on the report."""
+        paths = {"--checkpoint": trained_dir / "encoder.ckpt",
+                 "--data": corpus_dir / "manifest.json"}
+        bad = paths[flag].with_name(f"nl{char}x{paths[flag].suffix}")
+        bad.write_bytes(paths[flag].read_bytes())
+        paths[flag] = bad
+        out = tmp_path / "x"
+        assert run("eval", "--checkpoint", str(paths["--checkpoint"]),
+                   "--data", str(paths["--data"]), "--out", str(out)) == 2
+        assert (f"{flag} file name must have no line break, got {bad.name!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags,named", [
         (["--label", "full,clip"], "--label must be text with no comma or newline, "
                                    "got 'full,clip'"),
@@ -597,6 +658,14 @@ class TestEval:
         assert run("eval", "--checkpoint", str(ckpt), "--data", manifest,
                    "--out", str(out), "--render", "1") == 0
         assert (out / "strip_000.svg").exists()
+
+    def test_render_with_baseline_only_exits_2(self, tmp_path, corpus_dir, capsys):
+        """With no model there is no forecast to draw; it exited 0 and drew nothing."""
+        assert run("eval", "--baseline-only", "--history-frames", "50", "--render", "1",
+                   "--data", str(corpus_dir / "manifest.json"), "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert "--render" in err and "--baseline-only" in err
+        assert not (tmp_path / "x").exists()
 
     def test_negative_render_exits_2(self, tmp_path, corpus_dir, trained_dir, capsys):
         assert run("eval", "--checkpoint", str(trained_dir / "encoder.ckpt"),

@@ -9,11 +9,11 @@ import pytest
 from advmt import model as model_mod
 from advmt import tensor
 from advmt.data import Corpus, CorpusConfig, generate_corpus
-from advmt.errors import ConfigurationError, HorizonError, ReportError
+from advmt.errors import ConfigurationError, HorizonError
 from advmt.evaluation import (
+    AblationTable,
     EvalReport,
     HorizonSet,
-    ablation_report,
     evaluate,
     horizon_frames,
     mean_velocity_magnitude,
@@ -297,29 +297,18 @@ class TestBatchedRollout:
 
 
 class TestAblation:
-    def _report(self, values, horizons=(400, 1000)):
-        cells = {"model": {"all": dict(zip(horizons, values))}}
-        return EvalReport(horizons_ms=horizons, fps=25, cells=cells)
-
     def test_single_run_single_row(self, tmp_path):
-        table = ablation_report([("full", self._report([10.0, 20.0]))])
+        table = AblationTable(horizons_ms=(400, 1000), rows=[("full", [10.0, 20.0])])
         assert len(table.rows) == 1
         table.to_csv(tmp_path / "ab.csv")
         text = (tmp_path / "ab.csv").read_text().splitlines()
         assert text[0] == "variant,horizon_ms,mpjpe_mm"
         assert text[1] == "full,400,10"
 
-    def test_mismatched_horizons_rejected(self):
-        with pytest.raises(ReportError):
-            ablation_report([
-                ("a", self._report([1.0, 2.0])),
-                ("b", self._report([1.0], horizons=(1000,))),
-            ])
-
     def test_text_grid(self):
-        table = ablation_report([
-            ("baseline", self._report([44.2, 126.6])),
-            ("full", self._report([33.2, 106.6])),
+        table = AblationTable(horizons_ms=(400, 1000), rows=[
+            ("baseline", [44.2, 126.6]),
+            ("full", [33.2, 106.6]),
         ])
         text = table.to_text()
         assert "baseline" in text and "126.6" in text
