@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -302,17 +303,18 @@ def cmd_eval(args) -> int:
         checkpoints.append((label, path))
     checkpoints = [(label, path, model_mod.load_checkpoint(path)) for label, path in checkpoints]
     model = None if args.baseline_only else checkpoints[0][2]
+    t0 = checkpoints[0][2].config.history_len if checkpoints else None
     for label, path, encoder in checkpoints:
-        t, t0 = encoder.config.history_len, checkpoints[0][2].config.history_len
-        if encoder is model and args.history_frames not in (None, t):
-            raise AdvmtError(f"--history-frames {args.history_frames} does not match the "
-                             f"{t}-frame history of {path}")
+        t = encoder.config.history_len
         if args.ablate:  # ablation.csv cells; the --checkpoint one is --label's if that is given
             csv_cell(label, "--ablate label" if encoder is not model else
                      "--checkpoint file name (the ablation label unless --label is given)")
         if t != t0:  # evaluate windows each model by its own history length
             raise AdvmtError(f"{path} has a {t}-frame history, but {checkpoints[0][1]} has {t0}: "
                              "every checkpoint of an ablation table must share one history length")
+    if checkpoints and args.history_frames not in (None, t0):  # one window set for every row
+        raise AdvmtError(f"--history-frames {args.history_frames} does not match the "
+                         f"{t0}-frame history of {checkpoints[0][1]}")
 
     corpus_set = load_corpus(args.data)
     if corpus_set.test is None:
@@ -405,6 +407,7 @@ def cmd_gradcheck(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process; parse_args does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="advmt",

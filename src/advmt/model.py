@@ -9,13 +9,17 @@ frame. ``rollout_graph`` slides the window over the model's own predictions;
 There is deliberately no causal mask: the encoder only ever sees a fully
 observed window, never future targets, so masking would not hide anything.
 
-Besides the root offset's small nodes, a forward pass is one graph node.
-``tensor.encoder_stack`` runs the input transform (``tensor.window_in``),
-every layer and the output transform (``tensor.frame_out``): a layer's
-``attention`` runs its attention half (``tensor.attention_block``),
-``__call__`` its feed-forward half (``tensor.feed_forward_block``), and
-backward rebuilds them all from the window. ``LayerNorm`` and ``Linear``
-only hold parameters, in checkpoint order.
+With grad enabled, a forward pass is one graph node besides the root
+offset's small nodes. ``tensor.encoder_stack`` runs the input transform
+(``tensor.window_in``), every layer and the output transform
+(``tensor.frame_out``): a layer's ``attention`` runs its attention half
+(``tensor.attention_block``), ``__call__`` its feed-forward half
+(``tensor.feed_forward_block``), and backward rebuilds them all from the
+window. Under ``no_grad`` the same methods run each block's array forward
+(``tensor.window_in_forward``, ``attention_half``, ``feed_forward_half``,
+``frame_out_forward``), the functions the stages call, and build no graph
+objects; ``rollout_graph`` then slides the window on arrays. ``LayerNorm``
+and ``Linear`` only hold parameters, in checkpoint order.
 
 Because the head reads only the last token, the last layer computes keys
 and values from all T tokens but queries, attention output, residual and
@@ -185,22 +189,28 @@ class EncoderLayer:
         self.ff1 = Linear(d, cfg.ff_dim, rng)
         self.ff2 = Linear(cfg.ff_dim, d, rng)
 
-    def attention(self, x: tensor.Stage, collect=None, rows=None) -> tensor.Stage:
-        """The attention half-block, x + MHA(LN(x)), as a stage that
-        ``__call__`` finishes into the layer's; with ``rows``, only the last
-        ``rows`` tokens query, so its output is (..., rows, D)."""
-        return tensor.attention_block(
-            x, *self.ln1.params(), *self.wq.params(), *self.wk.params(), *self.wv.params(),
-            *self.wo.params(), self.num_heads, rows=rows, collect=collect,
-        )
+    def attention(self, x, collect=None, rows=None):
+        """The attention half-block, x + MHA(LN(x)), that ``__call__``
+        finishes into the layer's: a stage from a stage, an array from an
+        array. With ``rows``, only the last ``rows`` tokens query, so its
+        output is (..., rows, D)."""
+        params = (*self.ln1.params(), *self.wq.params(), *self.wk.params(), *self.wv.params(),
+                  *self.wo.params())
+        if isinstance(x, tensor.Stage):
+            return tensor.attention_block(x, *params, self.num_heads, rows=rows, collect=collect)
+        return tensor.attention_half(x, *(p.data for p in params), self.num_heads, rows,
+                                     collect)[0]
 
-    def __call__(self, x: tensor.Stage, collect=None, rows=None) -> tensor.Stage:
+    def __call__(self, x, collect=None, rows=None):
         """The stage of a (..., T, D) output -> the stage of the layer's
-        (..., T, D) output; with ``rows``, only the last ``rows`` tokens'
-        outputs, (..., rows, D), computed from all T tokens."""
-        return tensor.feed_forward_block(self.attention(x, collect=collect, rows=rows),
-                                         *self.ln2.params(), *self.ff1.params(),
-                                         *self.ff2.params())
+        (..., T, D) output, or the same on plain arrays; with ``rows``, only
+        the last ``rows`` tokens' outputs, (..., rows, D), computed from all
+        T tokens."""
+        a = self.attention(x, collect=collect, rows=rows)
+        params = (*self.ln2.params(), *self.ff1.params(), *self.ff2.params())
+        if isinstance(a, tensor.Stage):
+            return tensor.feed_forward_block(a, *params)
+        return tensor.feed_forward_half(a, *(p.data for p in params))[0]
 
     def params(self):
         parts = (self.ln1, self.wq, self.wk, self.wv, self.wo, self.ln2, self.ff1, self.ff2)
@@ -245,21 +255,32 @@ class EncoderModel:
         self._inverse_std.data = 1.0 / arrays[1]
 
     def forward_window(self, x: Tensor, collect_attention=None) -> Tensor:
-        """(..., T, 3N) observed window in mm -> (..., 3N) next-frame prediction in mm."""
+        """(..., T, 3N) observed window in mm -> (..., 3N) next-frame prediction in mm.
+
+        With grad enabled it is one ``encoder_stack`` node; under ``no_grad``
+        the same block functions run on the arrays and build no graph."""
         cfg = self.config
         if x.ndim < 2 or x.shape[-1] != cfg.input_dim or x.shape[-2] != cfg.history_len:
             raise ContractError(
                 f"expected window (..., {cfg.history_len}, {cfg.input_dim}), got {x.shape}"
             )
-        last_frame = x[..., -1:, :]
-        root = last_frame @ self._root_tiling  # the last frame's root, tiled over joints
-        h = tensor.window_in(x, root, self.pose_mean, self._inverse_std, *self.embed.params(),
-                             self._pe)
+        embed = (self.pose_mean, self._inverse_std, *self.embed.params(), self._pe)
+        head = (*self.head.params(), self.delta_scale)
+        graph = tensor._grad_enabled
+        if graph:
+            last_frame = x[..., -1:, :]
+            root = last_frame @ self._root_tiling  # the last frame's root, tiled over joints
+            h = tensor.window_in(x, root, *embed)
+        else:  # the same products on the arrays, the root's included
+            last_frame = x.data[..., -1:, :]
+            h = tensor.window_in_forward(x.data, last_frame @ self._root_tiling.data,
+                                         *(p.data for p in embed))[2]
         for layer in self.layers[:-1]:
             h = layer(h, collect=collect_attention)
         h = self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS)
-        return tensor.encoder_stack(tensor.frame_out(last_frame, h, *self.head.params(),
-                                                     self.delta_scale))
+        if graph:
+            return tensor.encoder_stack(tensor.frame_out(last_frame, h, *head))
+        return Tensor(tensor.frame_out_forward(h, last_frame, *(p.data for p in head))[1])
 
 
 def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderModel:
@@ -279,6 +300,12 @@ def rollout_graph(model: EncoderModel, window: Tensor, l_frames: int) -> Tensor:
     """
     if l_frames < 1:
         raise ContractError(f"l_frames must be >= 1, got {l_frames}")
+    if not tensor._grad_enabled:  # no graph to record: the same slide on the arrays
+        window, frames = window.data, []
+        for _ in range(l_frames):
+            frames.append(model.forward_window(Tensor(window)).data[..., None, :])
+            window = np.concatenate([window[..., 1:, :], frames[-1]], axis=-2)
+        return Tensor(np.concatenate(frames, axis=-2))
     frames = []
     for _ in range(l_frames):
         pred = model.forward_window(window)  # (..., 3N)

@@ -8,7 +8,10 @@ No views beyond contiguous reshape.
 Threads: graph building and ``backward`` stay on one thread. Forwards on
 disjoint inputs may run concurrently only without a graph, inside a
 ``no_grad`` block that the calling thread holds around the whole
-concurrent section; other threads only read the grad flag.
+concurrent section; other threads only read the grad flag. There the
+encoder runs its blocks' array forwards (``window_in_forward``,
+``attention_half``, ``feed_forward_half``, ``frame_out_forward``), which
+read the shared parameters and write only arrays they allocate.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -300,10 +304,9 @@ def _check_matmul(a: tuple, b: tuple, op: str):
         raise DimensionError(f"{op} requires rank >= 2 operands, got {a} and {b}")
     if a[-1] != b[-2]:
         raise DimensionError(f"{op}: inner extents differ for shapes {a} and {b}")
-    try:
-        np.broadcast_shapes(a[:-2], b[:-2])
-    except ValueError:
-        raise DimensionError(f"{op}: batch extents of {a} and {b} do not broadcast") from None
+    for m, n in zip(reversed(a[:-2]), reversed(b[:-2])):
+        if m != n and m != 1 and n != 1:
+            raise DimensionError(f"{op}: batch extents of {a} and {b} do not broadcast")
 
 
 def matmul(a, b) -> Tensor:
@@ -362,9 +365,13 @@ def _normalize(x: np.ndarray, std=None) -> tuple:
     In-place steps on ``x - mean`` give the bytes of ``(x - mu) / sqrt(var + eps)``.
     Given the ``std`` an earlier call returned for the same ``x``, only xhat is
     rebuilt, with the same steps and so the same bytes."""
-    d = x - x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)  # ``x.mean``'s steps, without its wrapper
+    mean /= n
+    d = x - mean
     if std is None:
-        std = np.square(d).mean(axis=-1, keepdims=True)
+        std = np.add.reduce(np.square(d), axis=-1, keepdims=True)
+        std /= n
         std += LN_EPS
         np.sqrt(std, out=std)
     d /= std
@@ -432,23 +439,27 @@ def _next_stage(upstream: Stage, out: np.ndarray, params: tuple, at_input: Calla
     return Stage(out, upstream.parents + params, backward)
 
 
+def window_in_forward(x, root, mean, inv_std, W, b, pe) -> tuple:
+    """The input transform on arrays: (s, z, out) with ``s = x - (root + mean)``,
+    ``z = s * inv_std`` and ``out = z @ W + b + pe``."""
+    s = x - (root + mean)
+    z = s * inv_std
+    out = _affine(z, W, b)
+    out += pe
+    return s, z, out
+
+
 def window_in(x, root, mean, inv_std, W, b, pe) -> Stage:
     """The encoder's input transform ``((x - (root + mean)) * inv_std) @ W + b + pe``
     on a (..., T, 3N) window and its last frame's (..., 1, 3N) tiled root as a
     first stage; the oracle is ``add``, ``sub``, ``mul``, ``linear``, ``add``."""
     parents = tuple(as_tensor(p) for p in (x, root, mean, inv_std, W, b, pe))
     _check_matmul(parents[0].shape, parents[4].shape, "window_in")
-    x_d, root_d, mean_d, inv_std_d, W_d, b_d, pe_d = arrays = tuple(p.data for p in parents)
-
-    def forward():  # x - (root + mean), that times inv_std, and the output
-        s = x_d - (root_d + mean_d)
-        z = s * inv_std_d
-        out = _affine(z, W_d, b_d)
-        out += pe_d
-        return s, z, out
+    arrays = tuple(p.data for p in parents)
+    root_d, mean_d, inv_std_d, W_d, b_d = arrays[1:6]
 
     def backward(downstream):
-        s, z, out = forward()
+        s, z, out = window_in_forward(*arrays)
         g, more = downstream(out)
         gz, gW, gb = _affine_grads(z, W_d, b_d, g)
         gs = _unbroadcast(gz * inv_std_d, s.shape)
@@ -457,7 +468,60 @@ def window_in(x, root, mean, inv_std, W, b, pe) -> Stage:
         grads = (gs, goffset, goffset, gz * s, gW, gb, g)
         return tuple(_unbroadcast(gr, a.shape) for a, gr in zip(arrays, grads)) + more
 
-    return Stage(forward()[2], parents, backward)
+    return Stage(window_in_forward(*arrays)[2], parents, backward)
+
+
+def _heads_of(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., T, D) -> (..., H, T, D/H)."""
+    return a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)).swapaxes(-3, -2)
+
+
+def _merged(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """(..., H, T, D/H) -> (..., T, D)."""
+    return a.swapaxes(-3, -2).reshape(shape)
+
+
+def _queried(a: np.ndarray, rows) -> np.ndarray:
+    """The rows that query: the last ``rows``, or all of them."""
+    return a if rows is None else a[..., -rows:, :]
+
+
+def attention_forward(x, gain, bias, wq, bq, wk, bk, wv, bv, heads: int, rows=None,
+                      std=None) -> tuple:
+    """The attention half's context on a (..., T, D) array: (ctx, std, state),
+    ``ctx`` the merged per-head ``softmax(q kᵀ / sqrt(D/H)) v`` of the querying
+    rows, ``std`` the norm's and ``state`` (xhat, h, qh, kh, vh, probs), what
+    backward reads. Given the ``std`` of an earlier call on the same ``x``,
+    the norm reuses it (see ``_normalize``)."""
+    xhat, std = _normalize(x, std)
+    h = xhat * gain + bias
+    hq = _queried(h, rows)
+    qh = _heads_of(_affine(hq, wq, bq), heads)
+    kh, vh = _heads_of(_affine(h, wk, bk), heads), _heads_of(_affine(h, wv, bv), heads)
+    probs = qh @ kh.swapaxes(-1, -2)
+    probs *= 1.0 / math.sqrt(x.shape[-1] // heads)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return _merged(probs @ vh, hq.shape), std, (xhat, h, qh, kh, vh, probs)
+
+
+def attention_output(x, ctx, wo, bo, rows=None) -> np.ndarray:
+    """The attention half's output, the feed-forward input: the querying rows
+    of ``x`` plus ``ctx @ wo + bo``."""
+    return _queried(x, rows) + _affine(ctx, wo, bo)
+
+
+def attention_half(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
+                   collect=None) -> tuple:
+    """(output, the norm's std) of the attention half on a (..., T, D) array;
+    ``collect`` (a list) gets the (..., H, Tq, T) probabilities. The rest of
+    the state is freed before the output is summed."""
+    ctx, std, state = attention_forward(x, gain, bias, wq, bq, wk, bk, wv, bv, heads, rows)
+    if collect is not None:
+        collect.append(state[-1])
+    del state
+    return attention_output(x, ctx, wo, bo, rows), std
 
 
 def attention_block(x: Stage, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
@@ -482,44 +546,17 @@ def attention_block(x: Stage, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads:
     t = shape[-2]
     if rows is not None and not 1 <= rows <= t:
         raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {shape}")
-    gain_d, bias_d, wq_d, bq_d, wk_d, bk_d, wv_d, bv_d, wo_d, bo_d = (p.data for p in params)
+    arrays = tuple(p.data for p in params)
+    gain_d, _, wq_d, bq_d, wk_d, bk_d, wv_d, bv_d, wo_d, bo_d = arrays
     scale = 1.0 / math.sqrt(d // heads)
-    q_shape = shape[:-2] + (t if rows is None else rows, d)
-
-    def heads_of(a):  # (..., T, D) -> (..., H, T, D/H)
-        return a.reshape(a.shape[:-1] + (heads, d // heads)).swapaxes(-3, -2)
-
-    def merged(a, shape):  # (..., H, T, D/H) -> (..., T, D)
-        return a.swapaxes(-3, -2).reshape(shape)
-
-    def queried(a):  # the rows that query
-        return a if rows is None else a[..., -rows:, :]
-
-    def forward(x_d, std=None):  # the merged context, the norm's std and what backward reads
-        xhat, std = _normalize(x_d, std)
-        h = xhat * gain_d + bias_d
-        qh = heads_of(_affine(queried(h), wq_d, bq_d))
-        kh, vh = heads_of(_affine(h, wk_d, bk_d)), heads_of(_affine(h, wv_d, bv_d))
-        probs = qh @ kh.swapaxes(-1, -2)
-        probs *= scale
-        probs -= probs.max(axis=-1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return merged(probs @ vh, q_shape), std, (xhat, h, qh, kh, vh, probs)
-
-    def output(x_d, ctx):  # the half's output, the feed-forward input
-        return queried(x_d) + _affine(ctx, wo_d, bo_d)
-
-    ctx, std, state = forward(x.out)
-    if collect is not None:
-        collect.append(state[-1])
-    del state
+    out, std = attention_half(x.out, *arrays, heads, rows, collect)
 
     def at_input(x_d, downstream):  # in-place steps and early ``del``s keep few temporaries alive
-        ctx, _, (xhat, h, qh, kh, vh, probs) = forward(x_d, std)
-        g, more = downstream(output(x_d, ctx))
+        ctx, _, (xhat, h, qh, kh, vh, probs) = attention_forward(x_d, *arrays[:8], heads, rows,
+                                                                  std)
+        g, more = downstream(attention_output(x_d, ctx, wo_d, bo_d, rows))
         gctx, gwo, gbo = _affine_grads(ctx, wo_d, bo_d, g)
-        gctx = heads_of(gctx)
+        gctx = _heads_of(gctx, heads)
         del ctx
         gv = probs.swapaxes(-1, -2) @ gctx
         gscores = gctx @ vh.swapaxes(-1, -2)  # the probabilities' gradient, for now
@@ -528,9 +565,9 @@ def attention_block(x: Stage, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads:
         gscores *= probs
         gscores *= scale
         del probs
-        hq = queried(h)
-        gq = merged(gscores @ kh, hq.shape)
-        gk = merged((qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2), h.shape)
+        hq = _queried(h, rows)
+        gq = _merged(gscores @ kh, hq.shape)
+        gk = _merged((qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2), h.shape)
         del gscores, qh, kh
         gh, gwq, gbq = _affine_grads(hq, wq_d, bq_d, gq)
         if rows is not None:  # the chain's ``take`` nodes scatter into zeros
@@ -538,14 +575,14 @@ def attention_block(x: Stage, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads:
         ghk, gwk, gbk = _affine_grads(h, wk_d, bk_d, gk)
         gh += ghk
         del gq, gk, ghk
-        ghv, gwv, gbv = _affine_grads(h, wv_d, bv_d, merged(gv, h.shape))
+        ghv, gwv, gbv = _affine_grads(h, wv_d, bv_d, _merged(gv, h.shape))
         gh += ghv
         del gv, ghv, h, hq
         gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
         gx += g
         return gx, (ggain, gbias, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo) + more
 
-    return _next_stage(x, output(x.out, ctx), params, at_input)
+    return _next_stage(x, out, params, at_input)
 
 
 def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
@@ -553,6 +590,27 @@ def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
     out = np.zeros(shape)
     out[..., -rows:, :] += g
     return out
+
+
+def feed_forward_hidden(a, gain, bias, w1, b1, std=None) -> tuple:
+    """The feed-forward half's hidden layer on a (..., T, D) array: (xhat, std,
+    h, r), the norm's xhat and std, its output h and ``r = relu(h @ w1 + b1)``.
+    Given the ``std`` of an earlier call on the same ``a``, the norm reuses it."""
+    xhat, std = _normalize(a, std)
+    h = xhat * gain + bias
+    r = _affine(h, w1, b1)
+    return xhat, std, h, _relu(r, out=r)
+
+
+def feed_forward_output(a, r, w2, b2) -> np.ndarray:
+    """The feed-forward half's output ``a + r @ w2 + b2``."""
+    return a + _affine(r, w2, b2)
+
+
+def feed_forward_half(a, gain, bias, w1, b1, w2, b2) -> tuple:
+    """(output, the norm's std) of the feed-forward half on a (..., T, D) array."""
+    std, r = feed_forward_hidden(a, gain, bias, w1, b1)[1::2]
+    return feed_forward_output(a, r, w2, b2), std
 
 
 def feed_forward_block(attended: Stage, gain, bias, w1, b1, w2, b2) -> Stage:
@@ -564,22 +622,13 @@ def feed_forward_block(attended: Stage, gain, bias, w1, b1, w2, b2) -> Stage:
     a_d, d = attended.out, attended.out.shape[-1]
     f = params[2].shape[-1] if params[2].ndim == 2 else None
     _check_block("feed_forward_block", a_d.shape, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
-    gain_d, bias_d, w1_d, b1_d, w2_d, b2_d = (p.data for p in params)
-
-    def hidden(a, std=None):  # the norm's xhat and std, its output h and the relu output r
-        xhat, std = _normalize(a, std)
-        h = xhat * gain_d + bias_d
-        r = _affine(h, w1_d, b1_d)
-        return xhat, std, h, _relu(r, out=r)
-
-    def output(a, r):
-        return a + _affine(r, w2_d, b2_d)
-
-    std, r = hidden(a_d)[1::2]
+    arrays = tuple(p.data for p in params)
+    gain_d, _, w1_d, b1_d, w2_d, b2_d = arrays
+    out, std = feed_forward_half(a_d, *arrays)
 
     def at_input(a, downstream):
-        xhat, _, h, r = hidden(a, std)
-        g, more = downstream(output(a, r))
+        xhat, _, h, r = feed_forward_hidden(a, *arrays[:4], std)
+        g, more = downstream(feed_forward_output(a, r, w2_d, b2_d))
         gr, gw2, gb2 = _affine_grads(r, w2_d, b2_d, g)
         gr *= r > 0  # the relu's mask: r > 0 exactly where its input is
         del r
@@ -589,7 +638,15 @@ def feed_forward_block(attended: Stage, gain, bias, w1, b1, w2, b2) -> Stage:
         ga += g
         return ga, (ggain, gbias, gw1, gb1, gw2, gb2) + more
 
-    return _next_stage(attended, output(a_d, r), params, at_input)
+    return _next_stage(attended, out, params, at_input)
+
+
+def frame_out_forward(h, last_frame, W, b, scale) -> tuple:
+    """The output transform on a (..., T, D) array: (y, out), the head's
+    output ``h[..., -1:, :] @ W + b`` at the last token, (..., 1, 3N), and
+    ``out = (last_frame + y * scale)[..., 0, :]``, (..., 3N)."""
+    y = _affine(h[..., -1:, :], W, b)
+    return y, (last_frame + y * scale)[..., 0, :]
 
 
 def frame_out(last_frame, h: Stage, W, b, scale) -> Stage:
@@ -599,14 +656,11 @@ def frame_out(last_frame, h: Stage, W, b, scale) -> Stage:
     The oracle is ``take``, ``linear``, ``mul``, ``add``, ``take``."""
     params = tuple(as_tensor(p) for p in (last_frame, W, b, scale))
     _check_matmul(h.out.shape, params[1].shape, "frame_out")
-    last_d, W_d, b_d, scale_d = (p.data for p in params)
-
-    def forward(h_d):  # the head's output at the last token, (..., 1, 3N), and the stage's
-        y = _affine(h_d[..., -1:, :], W_d, b_d)
-        return y, (last_d + y * scale_d)[..., 0, :]
+    arrays = tuple(p.data for p in params)
+    last_d, W_d, b_d, scale_d = arrays
 
     def at_input(h_d, downstream):
-        y, out = forward(h_d)
+        y, out = frame_out_forward(h_d, *arrays)
         g, more = downstream(out)
         gout = g[..., None, :] + 0.0  # the last ``take``'s scatter into zeros: -0.0 -> +0.0
         gy = _unbroadcast(gout * scale_d, y.shape)
@@ -614,7 +668,7 @@ def frame_out(last_frame, h: Stage, W, b, scale) -> Stage:
         grads = (_unbroadcast(gout, last_d.shape), gW, gb, _unbroadcast(gout * y, scale_d.shape))
         return _scattered(gh, h_d.shape, 1), grads + more
 
-    return _next_stage(h, forward(h.out)[1], params, at_input)
+    return _next_stage(h, frame_out_forward(h.out, *arrays)[1], params, at_input)
 
 
 def encoder_stack(stage: Stage) -> Tensor:
@@ -721,8 +775,7 @@ def concat(tensors: Sequence, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ContractError("concat requires at least one tensor")
-    extents = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
+    offsets = list(itertools.accumulate((t.shape[axis] for t in tensors), initial=0))
 
     def vjp(g):
         moved = np.moveaxis(g, axis, 0)

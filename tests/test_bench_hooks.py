@@ -61,11 +61,11 @@ def test_each_layer_call_enters_attention_once(monkeypatch):
     """The tracer times ``EncoderLayer.attention`` as the attention half and
     the rest of ``EncoderLayer.__call__`` as the feed-forward half, so one
     forward pass must enter ``attention`` once per layer, inside that
-    layer's ``__call__``."""
+    layer's ``__call__``; a forecast under ``no_grad`` too."""
     import numpy as np
 
     from advmt.model import EncoderConfig, EncoderLayer, EncoderModel
-    from advmt.tensor import Tensor
+    from advmt.tensor import Tensor, no_grad
 
     enc = EncoderModel(EncoderConfig(input_dim=6, num_layers=3, num_heads=2, model_dim=8,
                                      ff_dim=8, history_len=5), np.random.default_rng(0))
@@ -86,4 +86,8 @@ def test_each_layer_call_enters_attention_once(monkeypatch):
     monkeypatch.setattr(EncoderLayer, "__call__", counted_call)
     monkeypatch.setattr(EncoderLayer, "attention", counted_attention)
     enc.forward_window(Tensor(np.ones((2, 5, 6)), requires_grad=True))
+    assert entered == [(layer, [layer]) for layer in enc.layers]
+    entered.clear()
+    with no_grad():
+        enc.forward_window(Tensor(np.ones((2, 5, 6))))
     assert entered == [(layer, [layer]) for layer in enc.layers]

@@ -482,6 +482,19 @@ class TestEval:
         assert run("eval", "--checkpoint", str(ckpt), "--data", str(corpus_dir / "manifest.json"),
                    "--out", str(tmp_path / "y"), "--history-frames", "50") == 0
 
+    def test_baseline_only_history_frames_must_match_the_tabled_checkpoints(
+            self, tmp_path, corpus_dir, trained_dir, capsys):
+        """``report.csv``'s zero-velocity rows are scored on --history-frames windows,
+        ``ablation.csv``'s on each checkpoint's own; a run must score one window set."""
+        ckpt = trained_dir / "encoder.ckpt"
+        argv = ["eval", "--baseline-only", "--ablate", f"v={ckpt}",
+                "--data", str(corpus_dir / "manifest.json")]
+        assert run(*argv, "--history-frames", "40", "--out", str(tmp_path / "x")) == 2
+        assert (f"--history-frames 40 does not match the 50-frame history of {ckpt}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+        assert run(*argv, "--history-frames", "50", "--out", str(tmp_path / "y")) == 0
+
     def test_report_columns_and_roundtrip(self, tmp_path, corpus_dir, trained_dir):
         out = tmp_path / "eval"
         assert run("eval", "--checkpoint", str(trained_dir / "encoder.ckpt"),
@@ -900,6 +913,20 @@ def test_python_dash_m_runs_the_cli():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == f"advmt {__version__}"
+
+
+def test_one_parser_per_process_parses_each_command_afresh():
+    """``main`` reuses one parser, so parsing must leave nothing of one command
+    line behind for the next, an appended ``--ablate`` list included."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    evaluate = ["eval", "--data", "d", "--out", "o", "--ablate", "a=x"]
+    first = vars(parser.parse_args(evaluate))
+    predict = vars(parser.parse_args(["predict", "--checkpoint", "c", "--input", "i",
+                                      "--out", "p"]))
+    assert vars(parser.parse_args(evaluate)) == first
+    assert first["ablate"] == ["a=x"] and first["handler"] is cli.cmd_eval
+    assert "ablate" not in predict and predict["handler"] is cli.cmd_predict
 
 
 def test_readme_commands_parse():

@@ -198,6 +198,65 @@ class TestRollout:
             rollout(tiny_model, np.zeros((2, 8, 2, 3)), -1)
 
 
+class TestNoGradPath:
+    """Under ``no_grad`` a forecast runs each block's array forward directly;
+    it must give the bytes of the graph path on the default-size encoder."""
+
+    @pytest.fixture(scope="class")
+    def enc(self):
+        enc = init_encoder(EncoderConfig(input_dim=51), seed=2)
+        rng = np.random.default_rng(5)
+        enc.set_frame_statistics(rng.standard_normal(51) * 50, rng.uniform(50.0, 150.0, 51),
+                                 rng.uniform(5.0, 15.0, 51))
+        return enc
+
+    @staticmethod
+    def histories(w):
+        h = np.random.default_rng(w).standard_normal((w, 50, 17, 3)) * 100
+        h[0, -1, 0, 1] = -0.0  # a -0.0 root coordinate in the last frame
+        return h
+
+    @pytest.mark.parametrize("w", [1, 8])
+    def test_rollout_equals_the_graph_rollout_bitwise(self, enc, w):
+        h = self.histories(w)
+        graph = rollout_graph(enc, Tensor(h.reshape(w, 50, 51)), 25)
+        assert graph.requires_grad
+        assert rollout(enc, h, 25).tobytes() == graph.data.reshape(w, 25, 17, 3).tobytes()
+
+    @pytest.mark.parametrize("batch", [(8,), ()], ids=["batch8", "unbatched"])
+    def test_forward_window_and_attention_equal_the_graph_path(self, enc, batch):
+        x = self.histories(batch[0] if batch else 1).reshape(batch + (50, 51))
+        attn, attn_graph = [], []
+        with no_grad():
+            out = enc.forward_window(Tensor(x), collect_attention=attn)
+        ref = enc.forward_window(Tensor(x), collect_attention=attn_graph)
+        assert ref.requires_grad and not out.requires_grad and out._parents == ()
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert [a.shape for a in attn] == [batch + (4, 50, 50)] * 3 + [batch + (4, 2, 50)]
+        assert [a.tobytes() for a in attn] == [a.tobytes() for a in attn_graph]
+
+    def test_a_forecast_builds_no_stage_and_two_tensors_per_frame(self, monkeypatch, enc):
+        """Through the stages, a frame built six tensors and ten stages."""
+        from advmt import tensor
+
+        built = {"Tensor": 0, "Stage": 0}
+        init, new = Tensor.__init__, tensor.Stage.__new__
+
+        def counted_init(self, *args, **kwargs):
+            built["Tensor"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_new(cls, *args, **kwargs):
+            built["Stage"] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted_init)
+        monkeypatch.setattr(tensor.Stage, "__new__", counted_new)
+        rollout(enc, self.histories(1)[0], 25)
+        assert built["Stage"] == 0
+        assert built["Tensor"] <= 2 * 25 + 2  # each frame's window and prediction
+
+
 class _Unpruned:
     """The last layer with its ``rows`` argument ignored: every token's output."""
 

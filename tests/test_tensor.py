@@ -708,11 +708,13 @@ class TestAttentionRecompute:
         rebuilds its feed-forward input in place of keeping the attention
         half's output, 6,347,064 with one encoder-stack node per frame that
         rebuilds the window-in output and every layer's in place of keeping
-        them, and now, with the head and the pose mean's ``add`` inside that
-        node (no last-layer output or offset per frame), 6,060,664."""
+        them, 6,060,664 with the head and the pose mean's ``add`` inside that
+        node (no last-layer output or offset per frame), and now, with each
+        ``concat`` holding its offsets as ints in place of an int64 array (24
+        bytes per slide the output reaches and 208 for the output's), 6,059,880."""
         enc = EncoderModel(EncoderConfig(input_dim=51), np.random.default_rng(0))
         out = rollout_graph(enc, Tensor(np.ones((8, 50, 51)), requires_grad=True), 25)
-        assert graph_held_bytes(out) == 6_060_664
+        assert graph_held_bytes(out) == 6_059_880
 
     def test_rollout_graph_peak_memory(self):
         """Pinned so transient memory cannot grow unnoticed where held bytes do

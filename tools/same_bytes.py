@@ -41,6 +41,9 @@ COMMANDS = (  # (name, advmt argv), run in this order in the tree's directory
               "--render", "2", "--label", "full", "--ablate", "mo=mpjpe_only/encoder.ckpt"]),
     ("predict", ["predict", "--checkpoint", "full/encoder.ckpt",
                  "--input", "corpus/test/walk_0000.csv", "--out", "predict.csv"]),
+    ("predict one frame", ["predict", "--checkpoint", "full/encoder.ckpt",  # one slide only
+                           "--input", "corpus/test/walk_0000.csv", "--frames", "1",
+                           "--out", "predict1.csv"]),
     ("gradcheck", ["gradcheck", "--instances", "2"]),
 )
 MANIFEST_KEYS = ("command", "config", "config_path", "seed")
