@@ -258,6 +258,8 @@ def load_csv(path, topo: SkeletonTopology) -> MotionSequence:
             fps = int(meta["fps"])
         except ValueError:
             raise CsvParseError(f"{path}: fps {meta['fps']!r} is not an integer") from None
+        if fps < 1:
+            raise CsvParseError(f"{path}: fps must be positive, got {fps}")
         if "joints" not in meta:
             raise CsvParseError(f"{path}: header does not declare joint order")
         names = tuple(meta["joints"].split(","))

@@ -32,6 +32,8 @@ class HorizonSet:
 
     def __post_init__(self):
         object.__setattr__(self, "milliseconds", tuple(self.milliseconds))
+        if not self.milliseconds:
+            raise HorizonError("at least one horizon")
         for i, ms in enumerate(self.milliseconds):
             if ms in self.milliseconds[:i]:
                 raise HorizonError(f"horizon {ms} ms is given twice")

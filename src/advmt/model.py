@@ -10,16 +10,13 @@ There is deliberately no causal mask: the encoder only ever sees a fully
 observed window, never future targets, so masking would not hide anything.
 
 With grad enabled, a forward pass is one graph node besides the root
-offset's small nodes. ``tensor.encoder_stack`` runs the input transform
-(``tensor.window_in``), every layer and the output transform
-(``tensor.frame_out``): a layer's ``attention`` runs its attention half
-(``tensor.attention_block``), ``__call__`` its feed-forward half
-(``tensor.feed_forward_block``), and backward rebuilds them all from the
-window. Under ``no_grad`` the same methods run each block's array forward
-(``tensor.window_in_forward``, ``attention_half``, ``feed_forward_half``,
-``frame_out_forward``), the functions the stages call, and build no graph
-objects; ``rollout_graph`` then slides the window on arrays. ``LayerNorm``
-and ``Linear`` only hold parameters, in checkpoint order.
+offset's small nodes: ``tensor.encoder_stack`` over the input transform
+(``tensor.window_in``), each layer's attention half (``attention``, through
+``tensor.attention_block``) and feed-forward half (``__call__``, through
+``tensor.feed_forward_block``), and the output transform
+(``tensor.frame_out``); backward rebuilds them all from the window. Under
+``no_grad`` the same calls take arrays and build no graph objects.
+``LayerNorm`` and ``Linear`` only hold parameters, in checkpoint order.
 
 Because the head reads only the last token, the last layer computes keys
 and values from all T tokens but queries, attention output, residual and
@@ -154,7 +151,7 @@ class Linear:
 
 
 class LayerNorm:
-    """Gain and bias of a pre-norm; the stages in ``tensor`` apply it."""
+    """Gain and bias of a pre-norm; the blocks in ``tensor`` apply it."""
 
     def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
@@ -175,7 +172,7 @@ HEAD_ROWS = 2
 
 
 class EncoderLayer:
-    """Pre-norm residual block as two stages: x + MHA(LN(x)), then + FF(LN(.))."""
+    """Pre-norm residual block as two blocks: x + MHA(LN(x)), then + FF(LN(.))."""
 
     def __init__(self, cfg: EncoderConfig, rng):
         d = cfg.model_dim
@@ -191,26 +188,19 @@ class EncoderLayer:
 
     def attention(self, x, collect=None, rows=None):
         """The attention half-block, x + MHA(LN(x)), that ``__call__``
-        finishes into the layer's: a stage from a stage, an array from an
-        array. With ``rows``, only the last ``rows`` tokens query, so its
-        output is (..., rows, D)."""
-        params = (*self.ln1.params(), *self.wq.params(), *self.wk.params(), *self.wv.params(),
-                  *self.wo.params())
-        if isinstance(x, tensor.Stage):
-            return tensor.attention_block(x, *params, self.num_heads, rows=rows, collect=collect)
-        return tensor.attention_half(x, *(p.data for p in params), self.num_heads, rows,
-                                     collect)[0]
+        finishes into the layer's, on a stage or an array. With ``rows``, only
+        the last ``rows`` tokens query, so its output is (..., rows, D)."""
+        ln, q, k, v, o = self.ln1, self.wq, self.wk, self.wv, self.wo
+        return tensor.attention_block(x, ln.gain, ln.bias, q.W, q.b, k.W, k.b, v.W, v.b, o.W, o.b,
+                                      self.num_heads, rows=rows, collect=collect)
 
     def __call__(self, x, collect=None, rows=None):
-        """The stage of a (..., T, D) output -> the stage of the layer's
-        (..., T, D) output, or the same on plain arrays; with ``rows``, only
-        the last ``rows`` tokens' outputs, (..., rows, D), computed from all
-        T tokens."""
+        """A (..., T, D) stage or array -> the layer's (..., T, D) output as the
+        same; with ``rows``, only the last ``rows`` tokens' outputs, (...,
+        rows, D), computed from all T tokens."""
         a = self.attention(x, collect=collect, rows=rows)
-        params = (*self.ln2.params(), *self.ff1.params(), *self.ff2.params())
-        if isinstance(a, tensor.Stage):
-            return tensor.feed_forward_block(a, *params)
-        return tensor.feed_forward_half(a, *(p.data for p in params))[0]
+        ln, ff1, ff2 = self.ln2, self.ff1, self.ff2
+        return tensor.feed_forward_block(a, ln.gain, ln.bias, ff1.W, ff1.b, ff2.W, ff2.b)
 
     def params(self):
         parts = (self.ln1, self.wq, self.wk, self.wv, self.wo, self.ln2, self.ff1, self.ff2)
@@ -258,29 +248,24 @@ class EncoderModel:
         """(..., T, 3N) observed window in mm -> (..., 3N) next-frame prediction in mm.
 
         With grad enabled it is one ``encoder_stack`` node; under ``no_grad``
-        the same block functions run on the arrays and build no graph."""
+        the same blocks run on the arrays and build no graph."""
         cfg = self.config
         if x.ndim < 2 or x.shape[-1] != cfg.input_dim or x.shape[-2] != cfg.history_len:
             raise ContractError(
                 f"expected window (..., {cfg.history_len}, {cfg.input_dim}), got {x.shape}"
             )
-        embed = (self.pose_mean, self._inverse_std, *self.embed.params(), self._pe)
-        head = (*self.head.params(), self.delta_scale)
-        graph = tensor._grad_enabled
-        if graph:
-            last_frame = x[..., -1:, :]
-            root = last_frame @ self._root_tiling  # the last frame's root, tiled over joints
-            h = tensor.window_in(x, root, *embed)
-        else:  # the same products on the arrays, the root's included
-            last_frame = x.data[..., -1:, :]
-            h = tensor.window_in_forward(x.data, last_frame @ self._root_tiling.data,
-                                         *(p.data for p in embed))[2]
+        tiling = self._root_tiling
+        if not tensor._grad_enabled:  # the same products on the arrays, the root's included
+            x, tiling = x.data, tiling.data
+        last_frame = x[..., -1:, :]
+        root = last_frame @ tiling  # the last frame's root, tiled over joints
+        h = tensor.window_in(x, root, self.pose_mean, self._inverse_std, self.embed.W,
+                             self.embed.b, self._pe)
         for layer in self.layers[:-1]:
             h = layer(h, collect=collect_attention)
         h = self.layers[-1](h, collect=collect_attention, rows=HEAD_ROWS)
-        if graph:
-            return tensor.encoder_stack(tensor.frame_out(last_frame, h, *head))
-        return Tensor(tensor.frame_out_forward(h, last_frame, *(p.data for p in head))[1])
+        return tensor.encoder_stack(tensor.frame_out(last_frame, h, self.head.W, self.head.b,
+                                                     self.delta_scale))
 
 
 def init_encoder(config: EncoderConfig, seed: int = 0) -> EncoderModel:

@@ -9,9 +9,9 @@ Threads: graph building and ``backward`` stay on one thread. Forwards on
 disjoint inputs may run concurrently only without a graph, inside a
 ``no_grad`` block that the calling thread holds around the whole
 concurrent section; other threads only read the grad flag. There the
-encoder runs its blocks' array forwards (``window_in_forward``,
-``attention_half``, ``feed_forward_half``, ``frame_out_forward``), which
-read the shared parameters and write only arrays they allocate.
+encoder runs its block builders (``window_in``, ``attention_block``,
+``feed_forward_block``, ``frame_out``) on arrays, which read the shared
+parameters and write only arrays they allocate.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import ctypes
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -276,12 +276,11 @@ def mul(a, b) -> Tensor:
 
 
 def _relu(a: np.ndarray, out=None) -> np.ndarray:
-    """``np.where(a > 0, a, 0.0)`` bit for bit, about five times faster, into
-    ``out`` (which may be ``a``): ``maximum`` may keep -0.0 and keeps NaN, so
-    ``+= 0.0`` turns -0.0 into +0.0 and NaN entries are zeroed after."""
-    out = np.maximum(a, 0.0, out=np.empty_like(a) if out is None else out)
+    """``np.where(a > 0, a, 0.0)`` bit for bit, several times faster, into
+    ``out`` (which may be ``a``): ``fmax`` gives 0.0 for NaN and may keep
+    -0.0, which ``+= 0.0`` turns into +0.0."""
+    out = np.fmax(a, 0.0, out=np.empty_like(a) if out is None else out)
     out += 0.0
-    out[np.isnan(out)] = 0.0
     return out
 
 
@@ -395,9 +394,9 @@ def _normalize_grads(g: np.ndarray, xhat: np.ndarray, std: np.ndarray, gain: np.
     return gx, tmp.sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
 
-def _check_block(op: str, shape: tuple, params: tuple, shapes: list):
-    """Raise, naming every shape, unless ``shape`` is (..., T, D) and the params have ``shapes``."""
-    got = [p.shape for p in params]
+def _check_block(op: str, shape: tuple, arrays, shapes: list):
+    """Raise, naming every shape, unless ``shape`` is (..., T, D) and the arrays have ``shapes``."""
+    got = [a.shape for a in arrays]
     if len(shape) < 2 or got != shapes:
         raise DimensionError(
             f"{op}: input {shape} and parameters {got} do not fit; "
@@ -406,69 +405,72 @@ def _check_block(op: str, shape: tuple, params: tuple, shapes: list):
 
 
 class Stage(NamedTuple):
-    """A forward step of a chain that ``encoder_stack`` makes one node.
-    ``backward(downstream)`` rebuilds out from arrays bound at build time,
-    takes (out's gradient, more) from ``downstream(out)`` and returns
-    ``parents``' gradients, then the more. A stage keeps no activation and
-    matches its oracle chain in the tests bit for bit."""
+    """A chain of encoder blocks that ``encoder_stack`` makes one node: the last
+    block's ``out``, the ``parents`` (the chain's input, then each block's
+    parameters), the input's array ``x`` and one (block, arrays, args, std)
+    step per block, all backward needs to rebuild ``out``: no activation."""
     out: np.ndarray
     parents: tuple
-    backward: Callable
+    x: np.ndarray
+    steps: tuple
 
 
 def source(x) -> Stage:
-    """A tensor as a chain's first stage."""
+    """A tensor as a chain's first stage, before any block."""
     x = as_tensor(x)
-    x_d = x.data
-
-    def backward(downstream):
-        g, more = downstream(x_d)
-        return (g,) + more
-
-    return Stage(x_d, (x,), backward)
+    return Stage(x.data, (x,), x.data, ())
 
 
-def _next_stage(upstream: Stage, out: np.ndarray, params: tuple, at_input: Callable) -> Stage:
-    """The stage after ``upstream``; ``at_input(x, downstream)`` gets upstream's
-    rebuilt output x and returns (x's gradient, ``params``' gradients + more)."""
-    upstream_backward = upstream.backward
+def _operands(x, params: tuple) -> tuple:
+    """(the input's shape, params, their arrays) for a block on ``x``: on a
+    stage the params, as tensors, join its parents; on an array they may be
+    tensors or arrays."""
+    if isinstance(x, Stage):
+        params = tuple(map(as_tensor, params))
+        return x.out.shape, params, tuple([p.data for p in params])
+    return x.shape, params, [p.data if isinstance(p, Tensor) else p for p in params]
 
-    def backward(downstream):
-        return upstream_backward(lambda x: at_input(x, downstream))
 
-    return Stage(out, upstream.parents + params, backward)
+def _step(block, x, params: tuple, arrays, args=(), collect=None):
+    """``block(x, arrays, *args, std=None, collect=None) -> (out, std, vjp)`` on
+    ``x``: on an array, ``out``; on a stage, the next stage, whose step keeps
+    the ``arrays`` and ``std``, with which a rerun gives ``out``'s bytes. The
+    vjp runs once, returns (x's gradient, the arrays'), frees state early."""
+    if isinstance(x, Stage):
+        out, std, _ = block(x.out, arrays, *args, collect=collect)
+        return Stage(out, x.parents + params, x.x, x.steps + ((block, arrays, args, std),))
+    return block(x, arrays, *args, collect=collect)[0]
 
 
-def window_in_forward(x, root, mean, inv_std, W, b, pe) -> tuple:
-    """The input transform on arrays: (s, z, out) with ``s = x - (root + mean)``,
-    ``z = s * inv_std`` and ``out = z @ W + b + pe``."""
+def _window_in(x, arrays, std=None, collect=None) -> tuple:
+    root, mean, inv_std, W, b, pe = arrays
     s = x - (root + mean)
     z = s * inv_std
     out = _affine(z, W, b)
     out += pe
-    return s, z, out
 
-
-def window_in(x, root, mean, inv_std, W, b, pe) -> Stage:
-    """The encoder's input transform ``((x - (root + mean)) * inv_std) @ W + b + pe``
-    on a (..., T, 3N) window and its last frame's (..., 1, 3N) tiled root as a
-    first stage; the oracle is ``add``, ``sub``, ``mul``, ``linear``, ``add``."""
-    parents = tuple(as_tensor(p) for p in (x, root, mean, inv_std, W, b, pe))
-    _check_matmul(parents[0].shape, parents[4].shape, "window_in")
-    arrays = tuple(p.data for p in parents)
-    root_d, mean_d, inv_std_d, W_d, b_d = arrays[1:6]
-
-    def backward(downstream):
-        s, z, out = window_in_forward(*arrays)
-        g, more = downstream(out)
-        gz, gW, gb = _affine_grads(z, W_d, b_d, g)
-        gs = _unbroadcast(gz * inv_std_d, s.shape)
+    def vjp(g):
+        gz, gW, gb = _affine_grads(z, W, b, g)
+        gs = _unbroadcast(gz * inv_std, s.shape)
         # the offset root + mean's gradient, which the oracle's ``add`` passes on to both
-        goffset = _unbroadcast(-gs, np.broadcast_shapes(root_d.shape, mean_d.shape))
-        grads = (gs, goffset, goffset, gz * s, gW, gb, g)
-        return tuple(_unbroadcast(gr, a.shape) for a, gr in zip(arrays, grads)) + more
+        goffset = _unbroadcast(-gs, np.broadcast_shapes(root.shape, mean.shape))
+        grads = (goffset, goffset, gz * s, gW, gb, g)
+        return _unbroadcast(gs, x.shape), tuple(_unbroadcast(gr, a.shape)
+                                                for a, gr in zip(arrays, grads))
 
-    return Stage(window_in_forward(*arrays)[2], parents, backward)
+    return out, None, vjp
+
+
+def window_in(x, root, mean, inv_std, W, b, pe):
+    """The encoder's input transform ``((x - (root + mean)) * inv_std) @ W + b + pe``
+    on a (..., T, 3N) window and its last frame's (..., 1, 3N) tiled root: a
+    tensor ``x`` starts a chain (see ``_step``). The oracle is ``add``,
+    ``sub``, ``mul``, ``linear``, ``add``."""
+    if not isinstance(x, (Stage, np.ndarray)):
+        x = source(x)
+    shape, params, arrays = _operands(x, (root, mean, inv_std, W, b, pe))
+    _check_matmul(shape, arrays[3].shape, "window_in")
+    return _step(_window_in, x, params, arrays)
 
 
 def _heads_of(a: np.ndarray, heads: int) -> np.ndarray:
@@ -486,76 +488,29 @@ def _queried(a: np.ndarray, rows) -> np.ndarray:
     return a if rows is None else a[..., -rows:, :]
 
 
-def attention_forward(x, gain, bias, wq, bq, wk, bk, wv, bv, heads: int, rows=None,
-                      std=None) -> tuple:
-    """The attention half's context on a (..., T, D) array: (ctx, std, state),
-    ``ctx`` the merged per-head ``softmax(q kᵀ / sqrt(D/H)) v`` of the querying
-    rows, ``std`` the norm's and ``state`` (xhat, h, qh, kh, vh, probs), what
-    backward reads. Given the ``std`` of an earlier call on the same ``x``,
-    the norm reuses it (see ``_normalize``)."""
+def _attention(x, arrays, heads: int, rows, std=None, collect=None) -> tuple:
+    gain, bias, wq, bq, wk, bk, wv, bv, wo, bo = arrays
     xhat, std = _normalize(x, std)
-    h = xhat * gain + bias
+    h = xhat * gain
+    h += bias
     hq = _queried(h, rows)
     qh = _heads_of(_affine(hq, wq, bq), heads)
     kh, vh = _heads_of(_affine(h, wk, bk), heads), _heads_of(_affine(h, wv, bv), heads)
+    scale = 1.0 / math.sqrt(x.shape[-1] // heads)
     probs = qh @ kh.swapaxes(-1, -2)
-    probs *= 1.0 / math.sqrt(x.shape[-1] // heads)
-    probs -= probs.max(axis=-1, keepdims=True)
+    probs *= scale
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)  # ``max``'s steps, unwrapped
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return _merged(probs @ vh, hq.shape), std, (xhat, h, qh, kh, vh, probs)
-
-
-def attention_output(x, ctx, wo, bo, rows=None) -> np.ndarray:
-    """The attention half's output, the feed-forward input: the querying rows
-    of ``x`` plus ``ctx @ wo + bo``."""
-    return _queried(x, rows) + _affine(ctx, wo, bo)
-
-
-def attention_half(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
-                   collect=None) -> tuple:
-    """(output, the norm's std) of the attention half on a (..., T, D) array;
-    ``collect`` (a list) gets the (..., H, Tq, T) probabilities. The rest of
-    the state is freed before the output is summed."""
-    ctx, std, state = attention_forward(x, gain, bias, wq, bq, wk, bk, wv, bv, heads, rows)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     if collect is not None:
-        collect.append(state[-1])
-    del state
-    return attention_output(x, ctx, wo, bo, rows), std
+        collect.append(probs)
+    ctx = np.empty(hq.shape)  # the heads' products land in their merged places
+    np.matmul(probs, vh, out=_heads_of(ctx, heads))
+    state = [(xhat, h, hq, qh, kh, vh, probs, ctx)]  # the vjp pops it, so its ``del``s free
 
-
-def attention_block(x: Stage, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
-                    collect=None) -> Stage:
-    """The pre-norm attention half ``x + MHA(LN(x))`` on stage ``x``'s
-    (..., T, D) output, as the next stage: ``h = LN(x)`` (gain, bias),
-    ``q = h @ wq + bq`` and likewise k and v, per-head
-    ``softmax(q kᵀ / sqrt(D/H)) v`` merged back to (..., T, D), ``@ wo + bo``
-    and the residual. With ``rows``, only the last ``rows`` tokens query
-    (keys and values still come from all T) and the output is their
-    (..., rows, D). ``collect`` (a list) gets the (..., H, Tq, T)
-    probabilities. The oracle is ``layer_norm``, ``linear``, ``take``,
-    ``attention``, ``linear``, ``add``: the gradient at ``h`` is (q-path +
-    k-path) + v-path, the q-path scattered into zeros first when ``rows`` is
-    given, and the input's is residual + norm path."""
-    params = tuple(as_tensor(p) for p in (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo))
-    shape = x.out.shape
-    d = shape[-1] if shape else 0
-    _check_block("attention_block", shape, params, [(d,), (d,)] + [(d, d), (d,)] * 4)
-    if heads < 1 or d % heads:
-        raise DimensionError(f"attention_block: shape {shape} does not split into {heads} heads")
-    t = shape[-2]
-    if rows is not None and not 1 <= rows <= t:
-        raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {shape}")
-    arrays = tuple(p.data for p in params)
-    gain_d, _, wq_d, bq_d, wk_d, bk_d, wv_d, bv_d, wo_d, bo_d = arrays
-    scale = 1.0 / math.sqrt(d // heads)
-    out, std = attention_half(x.out, *arrays, heads, rows, collect)
-
-    def at_input(x_d, downstream):  # in-place steps and early ``del``s keep few temporaries alive
-        ctx, _, (xhat, h, qh, kh, vh, probs) = attention_forward(x_d, *arrays[:8], heads, rows,
-                                                                  std)
-        g, more = downstream(attention_output(x_d, ctx, wo_d, bo_d, rows))
-        gctx, gwo, gbo = _affine_grads(ctx, wo_d, bo_d, g)
+    def vjp(g):  # in-place steps and early ``del``s keep few temporaries alive
+        xhat, h, hq, qh, kh, vh, probs, ctx = state.pop()
+        gctx, gwo, gbo = _affine_grads(ctx, wo, bo, g)
         gctx = _heads_of(gctx, heads)
         del ctx
         gv = probs.swapaxes(-1, -2) @ gctx
@@ -565,24 +520,47 @@ def attention_block(x: Stage, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads:
         gscores *= probs
         gscores *= scale
         del probs
-        hq = _queried(h, rows)
         gq = _merged(gscores @ kh, hq.shape)
         gk = _merged((qh.swapaxes(-1, -2) @ gscores).swapaxes(-1, -2), h.shape)
         del gscores, qh, kh
-        gh, gwq, gbq = _affine_grads(hq, wq_d, bq_d, gq)
+        gh, gwq, gbq = _affine_grads(hq, wq, bq, gq)
         if rows is not None:  # the chain's ``take`` nodes scatter into zeros
             gh, g = _scattered(gh, h.shape, rows), _scattered(g, h.shape, rows)
-        ghk, gwk, gbk = _affine_grads(h, wk_d, bk_d, gk)
+        ghk, gwk, gbk = _affine_grads(h, wk, bk, gk)
         gh += ghk
         del gq, gk, ghk
-        ghv, gwv, gbv = _affine_grads(h, wv_d, bv_d, _merged(gv, h.shape))
+        ghv, gwv, gbv = _affine_grads(h, wv, bv, _merged(gv, h.shape))
         gh += ghv
         del gv, ghv, h, hq
-        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
+        gx, ggain, gbias = _normalize_grads(gh, xhat, std, gain)
         gx += g
-        return gx, (ggain, gbias, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo) + more
+        return gx, (ggain, gbias, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo)
 
-    return _next_stage(x, out, params, at_input)
+    out = _affine(ctx, wo, bo)
+    return np.add(_queried(x, rows), out, out=out), std, vjp
+
+
+def attention_block(x, gain, bias, wq, bq, wk, bk, wv, bv, wo, bo, heads: int, rows=None,
+                    collect=None):
+    """The pre-norm attention half ``x + MHA(LN(x))`` on a (..., T, D) stage or
+    array (see ``_step``): ``h = LN(x)`` (gain, bias), ``q = h @ wq + bq``
+    and likewise k and v, per-head ``softmax(q kᵀ / sqrt(D/H)) v`` merged
+    back to (..., T, D), ``@ wo + bo`` and the residual. With ``rows``, only
+    the last ``rows`` tokens query (keys and values still come from all T)
+    and the output is their (..., rows, D). ``collect`` (a list) gets the
+    (..., H, Tq, T) probabilities. The oracle is ``layer_norm``, ``linear``,
+    ``take``, ``attention``, ``linear``, ``add``: the gradient at ``h`` is
+    (q-path + k-path) + v-path, the q-path scattered into zeros first when
+    ``rows`` is given, and the input's is residual + norm path."""
+    shape, params, arrays = _operands(x, (gain, bias, wq, bq, wk, bk, wv, bv, wo, bo))
+    d = shape[-1] if shape else 0
+    _check_block("attention_block", shape, arrays, [(d,), (d,)] + [(d, d), (d,)] * 4)
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention_block: shape {shape} does not split into {heads} heads")
+    t = shape[-2]
+    if rows is not None and not 1 <= rows <= t:
+        raise DimensionError(f"attention_block: rows {rows} not in 1..{t} for input {shape}")
+    return _step(_attention, x, params, arrays, (heads, rows), collect)
 
 
 def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
@@ -592,95 +570,87 @@ def _scattered(g: np.ndarray, shape: tuple, rows: int) -> np.ndarray:
     return out
 
 
-def feed_forward_hidden(a, gain, bias, w1, b1, std=None) -> tuple:
-    """The feed-forward half's hidden layer on a (..., T, D) array: (xhat, std,
-    h, r), the norm's xhat and std, its output h and ``r = relu(h @ w1 + b1)``.
-    Given the ``std`` of an earlier call on the same ``a``, the norm reuses it."""
+def _feed_forward(a, arrays, std=None, collect=None) -> tuple:
+    gain, bias, w1, b1, w2, b2 = arrays
     xhat, std = _normalize(a, std)
-    h = xhat * gain + bias
+    h = xhat * gain
+    h += bias
     r = _affine(h, w1, b1)
-    return xhat, std, h, _relu(r, out=r)
-
-
-def feed_forward_output(a, r, w2, b2) -> np.ndarray:
-    """The feed-forward half's output ``a + r @ w2 + b2``."""
-    return a + _affine(r, w2, b2)
-
-
-def feed_forward_half(a, gain, bias, w1, b1, w2, b2) -> tuple:
-    """(output, the norm's std) of the feed-forward half on a (..., T, D) array."""
-    std, r = feed_forward_hidden(a, gain, bias, w1, b1)[1::2]
-    return feed_forward_output(a, r, w2, b2), std
-
-
-def feed_forward_block(attended: Stage, gain, bias, w1, b1, w2, b2) -> Stage:
-    """The pre-norm feed-forward half ``a + relu(LN(a) @ w1 + b1) @ w2 + b2``
-    on the (..., T, D) output a of ``attended``, as the next stage. The
-    oracle is ``layer_norm``, ``linear``, ``relu``, ``linear``, ``add``; a's
-    gradient is residual + norm path."""
-    params = tuple(as_tensor(p) for p in (gain, bias, w1, b1, w2, b2))
-    a_d, d = attended.out, attended.out.shape[-1]
-    f = params[2].shape[-1] if params[2].ndim == 2 else None
-    _check_block("feed_forward_block", a_d.shape, params, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
-    arrays = tuple(p.data for p in params)
-    gain_d, _, w1_d, b1_d, w2_d, b2_d = arrays
-    out, std = feed_forward_half(a_d, *arrays)
-
-    def at_input(a, downstream):
-        xhat, _, h, r = feed_forward_hidden(a, *arrays[:4], std)
-        g, more = downstream(feed_forward_output(a, r, w2_d, b2_d))
-        gr, gw2, gb2 = _affine_grads(r, w2_d, b2_d, g)
-        gr *= r > 0  # the relu's mask: r > 0 exactly where its input is
-        del r
-        gh, gw1, gb1 = _affine_grads(h, w1_d, b1_d, gr)
-        del gr, h
-        ga, ggain, gbias = _normalize_grads(gh, xhat, std, gain_d)
-        ga += g
-        return ga, (ggain, gbias, gw1, gb1, gw2, gb2) + more
-
-    return _next_stage(attended, out, params, at_input)
-
-
-def frame_out_forward(h, last_frame, W, b, scale) -> tuple:
-    """The output transform on a (..., T, D) array: (y, out), the head's
-    output ``h[..., -1:, :] @ W + b`` at the last token, (..., 1, 3N), and
-    ``out = (last_frame + y * scale)[..., 0, :]``, (..., 3N)."""
-    y = _affine(h[..., -1:, :], W, b)
-    return y, (last_frame + y * scale)[..., 0, :]
-
-
-def frame_out(last_frame, h: Stage, W, b, scale) -> Stage:
-    """The encoder's output transform ``(last_frame + (h[..., -1:, :] @ W + b)
-    * scale)[..., 0, :]`` with a (..., 1, 3N) last frame, on stage ``h``'s
-    (..., T, D) output, as the last stage: backward rebuilds the head's output.
-    The oracle is ``take``, ``linear``, ``mul``, ``add``, ``take``."""
-    params = tuple(as_tensor(p) for p in (last_frame, W, b, scale))
-    _check_matmul(h.out.shape, params[1].shape, "frame_out")
-    arrays = tuple(p.data for p in params)
-    last_d, W_d, b_d, scale_d = arrays
-
-    def at_input(h_d, downstream):
-        y, out = frame_out_forward(h_d, *arrays)
-        g, more = downstream(out)
-        gout = g[..., None, :] + 0.0  # the last ``take``'s scatter into zeros: -0.0 -> +0.0
-        gy = _unbroadcast(gout * scale_d, y.shape)
-        gh, gW, gb = _affine_grads(h_d[..., -1:, :], W_d, b_d, gy)
-        grads = (_unbroadcast(gout, last_d.shape), gW, gb, _unbroadcast(gout * y, scale_d.shape))
-        return _scattered(gh, h_d.shape, 1), grads + more
-
-    return _next_stage(h, frame_out_forward(h.out, *arrays)[1], params, at_input)
-
-
-def encoder_stack(stage: Stage) -> Tensor:
-    """The chain of stages that ends in ``stage`` (``window_in`` or ``source``,
-    ``attention_block`` and ``feed_forward_block`` per layer, ``frame_out``)
-    as one node that keeps its parents and each norm's (..., T, 1) std. Backward
-    rebuilds the chain from its first stage, keeps every stage's state alive
-    on the way down and runs their vjps back up."""
-    parents, backward = stage.parents, stage.backward
+    _relu(r, out=r)
+    state = [(xhat, h, r)]  # the vjp pops it, so its ``del``s free
 
     def vjp(g):
-        return tuple(zip(parents, backward(lambda out: (g, ()))))
+        xhat, h, r = state.pop()
+        gr, gw2, gb2 = _affine_grads(r, w2, b2, g)
+        gr *= r > 0  # the relu's mask: r > 0 exactly where its input is
+        del r
+        gh, gw1, gb1 = _affine_grads(h, w1, b1, gr)
+        del gr, h
+        ga, ggain, gbias = _normalize_grads(gh, xhat, std, gain)
+        ga += g
+        return ga, (ggain, gbias, gw1, gb1, gw2, gb2)
+
+    out = _affine(r, w2, b2)
+    return np.add(a, out, out=out), std, vjp
+
+
+def feed_forward_block(attended, gain, bias, w1, b1, w2, b2):
+    """The pre-norm feed-forward half ``a + relu(LN(a) @ w1 + b1) @ w2 + b2``
+    on a (..., T, D) stage or array a (see ``_step``). The oracle is
+    ``layer_norm``, ``linear``, ``relu``, ``linear``, ``add``; a's gradient
+    is residual + norm path."""
+    shape, params, arrays = _operands(attended, (gain, bias, w1, b1, w2, b2))
+    w1_shape = arrays[2].shape
+    d, f = shape[-1], w1_shape[-1] if len(w1_shape) == 2 else None
+    _check_block("feed_forward_block", shape, arrays, [(d,), (d,), (d, f), (f,), (f, d), (d,)])
+    return _step(_feed_forward, attended, params, arrays)
+
+
+def _frame_out(h, arrays, std=None, collect=None) -> tuple:
+    last_frame, W, b, scale = arrays
+    last = h[..., -1:, :]
+    y = _affine(last, W, b)
+
+    def vjp(g):
+        gout = g[..., None, :] + 0.0  # the last ``take``'s scatter into zeros: -0.0 -> +0.0
+        gy = _unbroadcast(gout * scale, y.shape)
+        glast, gW, gb = _affine_grads(last, W, b, gy)
+        return _scattered(glast, h.shape, 1), (_unbroadcast(gout, last_frame.shape), gW, gb,
+                                               _unbroadcast(gout * y, scale.shape))
+
+    return (last_frame + y * scale)[..., 0, :], None, vjp
+
+
+def frame_out(last_frame, h, W, b, scale):
+    """The encoder's output transform ``(last_frame + (h[..., -1:, :] @ W + b)
+    * scale)[..., 0, :]`` with a (..., 1, 3N) last frame, on a (..., T, D)
+    stage or array h (see ``_step``): backward rebuilds the head's output.
+    The oracle is ``take``, ``linear``, ``mul``, ``add``, ``take``."""
+    shape, params, arrays = _operands(h, (last_frame, W, b, scale))
+    _check_matmul(shape, arrays[1].shape, "frame_out")
+    return _step(_frame_out, h, params, arrays)
+
+
+def encoder_stack(stage) -> Tensor:
+    """The chain of blocks that ``stage`` ends (``window_in`` or ``source``,
+    ``attention_block`` and ``feed_forward_block`` per layer, ``frame_out``)
+    as one node that keeps its parents and each norm's (..., T, 1) std (an
+    array, a chain run without a graph, as a plain tensor). Backward reruns
+    the steps from ``x``, keeping each vjp and its state, then pops them."""
+    if not isinstance(stage, Stage):
+        return Tensor(stage)
+    parents, x, steps = stage.parents, stage.x, stage.steps
+
+    def vjp(g):
+        h, vjps, grads = x, [], ()
+        for block, arrays, args, std in steps:
+            h, _, block_vjp = block(h, arrays, *args, std=std)
+            vjps.append(block_vjp)
+        del h
+        while vjps:
+            g, block_grads = vjps.pop()(g)
+            grads = block_grads + grads
+        return zip(parents, (g,) + grads)
 
     return Tensor._result(stage.out, parents, vjp)
 

@@ -194,6 +194,13 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="fps"):
             load_csv(path, topo17)
 
+    @pytest.mark.parametrize("fps", ["0", "-25"])
+    def test_non_positive_fps_names_the_file(self, tmp_path, topo17, fps):
+        path = tmp_path / "zero_fps.csv"
+        path.write_text(f"# fps={fps} joints={','.join(topo17.joint_names)}\n" + "0," * 50 + "0\n")
+        with pytest.raises(CsvParseError, match=rf"zero_fps\.csv: fps must be positive, got {fps}$"):
+            load_csv(path, topo17)
+
     def test_column_mismatch(self, tmp_path):
         from advmt.skeleton import SkeletonTopology
 

@@ -49,6 +49,10 @@ class TestHorizonFrames:
         with pytest.raises(HorizonError, match="^horizon 160 ms is given twice$"):
             HorizonSet(milliseconds=(160, 400, 160))
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(HorizonError, match="^at least one horizon$"):
+            HorizonSet(milliseconds=())
+
     def test_default_set_maps_within_span(self):
         assert HorizonSet().frames() == (4, 10, 14, 18, 22, 25)
 

@@ -199,8 +199,8 @@ class TestRollout:
 
 
 class TestNoGradPath:
-    """Under ``no_grad`` a forecast runs each block's array forward directly;
-    it must give the bytes of the graph path on the default-size encoder."""
+    """Under ``no_grad`` a forecast runs each block builder on arrays; it
+    must give the bytes of the graph path on the default-size encoder."""
 
     @pytest.fixture(scope="class")
     def enc(self):

@@ -811,6 +811,53 @@ class TestFeedForwardRecompute:
                        grads_with_rebinding(forward, arrays, None))
 
 
+def block_calls(rng, lead):
+    """Each builder at the default sizes: name -> (call(x, params, collect), x, params)."""
+    window, *embed = window_in_arrays(rng, lead)
+    h = rng.standard_normal(lead + (50, 64))
+    att = attention_params(rng, 64)
+    return {
+        "window_in": (lambda x, p, c: window_in(x, *p), window, embed),
+        "attention": (lambda x, p, c: attention_block(x, *p, 4, collect=c), h, att),
+        "attention_rows": (lambda x, p, c: attention_block(x, *p, 4, rows=HEAD_ROWS, collect=c),
+                           h, att),
+        "feed_forward": (lambda x, p, c: feed_forward_block(x, *p), h,
+                         feed_forward_params(rng, 64, 128)),
+        "frame_out": (lambda x, p, c: frame_out(p[0], x, *p[1:]), h[..., -HEAD_ROWS:, :],
+                      frame_out_arrays(rng, lead)),
+    }
+
+
+class TestArrayEntries:
+    """A builder given an array runs the block the stage records, with no graph."""
+
+    @pytest.mark.parametrize("block", ["window_in", "attention", "attention_rows",
+                                       "feed_forward", "frame_out"])
+    @pytest.mark.parametrize("lead", [(8,), ()], ids=["batch8", "window2d"])
+    def test_array_output_is_the_stage_output(self, rng, lead, block):
+        """The bytes of the stage's ``out`` and of the arrays ``collect`` gets."""
+        call, x, params = block_calls(rng, lead)[block]
+        on_arrays, on_stage = [], []
+        out = call(x, params, on_arrays)
+        stage = call(source(Tensor(x)), [Tensor(p) for p in params], on_stage)
+        assert isinstance(out, np.ndarray) and isinstance(stage, tensor.Stage)
+        assert out.shape == stage.out.shape and out.tobytes() == stage.out.tobytes()
+        assert [a.shape for a in on_arrays] == [a.shape for a in on_stage]
+        assert [a.tobytes() for a in on_arrays] == [a.tobytes() for a in on_stage]
+        assert len(on_stage) == block.startswith("attention")
+
+    def test_backward_collects_nothing(self, rng):
+        """The rebuild in backward runs every attention block again, but only
+        the forward hands ``collect`` its probabilities."""
+        probs = []
+        out = stack_node(*[Tensor(a, requires_grad=True) for a in stack_arrays(rng, (2,), 2)],
+                         heads=4, rows=HEAD_ROWS, collect=probs)
+        forward = list(probs)
+        out.sum().backward()
+        assert len(forward) == 2 and len(probs) == 2
+        assert all(a is b for a, b in zip(probs, forward))
+
+
 class TestBroadcastAndReduceRules:
     """The broadcast and reduction rules against explicit references. Values
     are small integers, so every sum is exact in any order."""
